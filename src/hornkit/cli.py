@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactla import DEFAULT_PRIME
+from .exactla import DEFAULT_PRIME, is_prime
 from .horn import enumerate_horn, horn_verdict, lr_oracle
 from .strings import Partition, StepString, parse_partition, string_to_partition
 from .tangent import (
@@ -67,38 +67,12 @@ class RunConfig:
     fmt: str = "json"
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.prime):
+        if not is_prime(self.prime):
             raise CLIError(f"--prime {self.prime} is not a prime number")
         if self.trials < 1:
             raise CLIError("--trials must be at least 1")
         if self.fmt not in ("json", "text", "diagram"):
             raise CLIError(f"unknown format {self.fmt!r}")
-
-
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
-    if m < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if m in small:
-        return True
-    if any(m % q == 0 for q in small):
-        return False
-    d, twos = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    for a in small:
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def parse_classes(text: str) -> tuple[tuple[Partition, ...], int, int]:

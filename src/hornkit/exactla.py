@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "DEFAULT_PRIME",
+    "is_prime",
+    "check_prime",
     "derive_seed",
     "rref",
     "Mat",
@@ -30,6 +32,38 @@ __all__ = [
 ]
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
+    if m < 2:
+        return False
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m in small:
+        return True
+    if any(m % q == 0 for q in small):
+        return False
+    d, twos = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    for a in small:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is prime: F_p must be a field."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime number")
 
 
 def derive_seed(*parts: object) -> int:
@@ -197,11 +231,6 @@ class Subspace:
             c = rng.randrange(self.p)
             vec = [(a + c * b) % self.p for a, b in zip(vec, row)]
         return tuple(vec)
-
-    def restrict_coordinates(self, coords: Sequence[int]) -> "Subspace":
-        """Image under projection onto the listed (0-based) coordinates."""
-        proj = [tuple(row[j] for j in coords) for row in self.basis]
-        return Subspace.from_spanning(proj, len(coords), self.p)
 
 
 def intersect(spaces: Sequence[Subspace]) -> Subspace:

@@ -9,8 +9,20 @@ nonzero,
     sum_i sum_k  lam^i_{mu^i_k + k}  >=  (s-1) * d * (n-r).
 
 The level-d tuples are certified by the same criterion one ambient lower,
-so the whole test is a memoized recursion grounded at d = r (where the
+so the whole test is a recursion grounded at d = r (where the
 inequality is the pure dimension count sum |lam^i| >= (s-1) r (n-r)).
+
+The search tests the cheap condition first: violated first, certified
+second.  Candidates are the mu-tuples that pass the level-d dimension
+count sum |mu^i| >= (s-1) d (r-d), level by level and in lexicographic
+order within a level; the first violation is the first candidate that is
+both violated at lam and certified.  Asking "violated?" before
+"certified?" picks out the same candidate, so the recursion runs only on
+the few candidates whose inequality actually fails.  A depth-first search
+over one table of Lambda(d, r-d) per level skips every subtree in which
+the partial left-hand side, plus the least the remaining factors can add
+while still passing the dimension count, reaches the right-hand side.
+Certificates are memoized for the duration of one call.
 
 The LR oracle decides the same question by brute force: expand the
 product of the complementary Schur polynomials inside the r x (n-r) box
@@ -20,12 +32,14 @@ shares no code with the recursion and serves as ground truth in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .exactla import DEFAULT_PRIME
-from .strings import Partition, all_partitions
+from .strings import Partition
 from .tangent import TransversalityReport, transversality_verdict
 
 __all__ = [
@@ -118,20 +132,115 @@ def _check_box(lams: Sequence[Partition], r: int, n: int) -> None:
             raise ValueError(f"{lam} does not lie in Lambda({r}, {n - r})")
 
 
-# Memo for the recursion: does the mu-tuple have nonzero product on Gr(d, r)?
-# Products are symmetric in the factors, so the key sorts the part tuples.
-_NONZERO_MEMO: dict[tuple, bool] = {}
+class _Row(NamedTuple):
+    """One mu in Lambda(d, r-d): its parts, its weight, and its 0-based
+    index set {mu_k + k - 1}."""
+
+    parts: tuple[int, ...]
+    weight: int
+    index: tuple[int, ...]
 
 
-def _nonzero(mus: Sequence[Partition], d: int, r: int) -> bool:
-    if len(mus) <= 1 or d == 0 or d == r:
+# The recursion on Gr(r, n) reads the tables of every (d, r') with
+# d <= r' <= r: 36 of them for r = 8, 253 for r = 22.
+@functools.lru_cache(maxsize=256)
+def _level_table(d: int, r: int) -> tuple[_Row, ...]:
+    """Lambda(d, r-d) in lexicographic order of the part tuples."""
+    return tuple(
+        _Row(parts, sum(parts), tuple(part + k for k, part in enumerate(parts)))
+        for parts in itertools.combinations_with_replacement(range(r - d + 1), d)
+    )
+
+
+def _inequality(d: int, r: int, rows: Sequence[int], rhs: int) -> HornInequality:
+    table = _level_table(d, r)
+    return HornInequality(
+        d,
+        tuple(Partition(table[i].parts, r - d) for i in rows),
+        tuple(tuple(pos + 1 for pos in table[i].index) for i in rows),
+        rhs,
+    )
+
+
+# A memo maps (d, r, sorted row numbers) to whether that mu-tuple has a
+# nonzero product on Gr(d, r); products are symmetric in their factors.
+_Memo = dict[tuple[int, int, tuple[int, ...]], bool]
+
+
+def _nonzero(rows: tuple[int, ...], d: int, r: int, memo: _Memo) -> bool:
+    """Does the mu-tuple (row numbers of the level-d table) certify?"""
+    if len(rows) <= 1 or d == r:
         return True
-    key = (d, r, tuple(sorted(mu.parts for mu in mus)))
-    cached = _NONZERO_MEMO.get(key)
+    key = (d, r, tuple(sorted(rows)))
+    cached = memo.get(key)
     if cached is None:
-        cached = _first_violation(tuple(mus), d, r) is None
-        _NONZERO_MEMO[key] = cached
+        table = _level_table(d, r)
+        mus = tuple(table[i].parts for i in rows)
+        cached = _first_violation(mus, d, r, memo) is None
+        memo[key] = cached
     return cached
+
+
+def _violated_candidates(
+    table: Sequence[_Row], scores: Sequence[Sequence[int]], need: int, rhs: int
+) -> Iterator[tuple[int, ...]]:
+    """Row numbers, one per factor and in lexicographic order, whose weights
+    sum to at least ``need`` and whose scores sum to less than ``rhs``.
+
+    ``floors[j][w]`` is the least score that factors j, ..., s-1 can add
+    when their weights must sum to at least w.  A subtree is entered only
+    when its partial score plus that floor stays below ``rhs``, so every
+    subtree entered holds at least one of the tuples sought.
+    """
+    s = len(scores)
+    weights = [row.weight for row in table]
+    floor = [0] + [math.inf] * need  # no factors left: they add weight 0
+    floors = [floor]
+    for row_scores in reversed(scores):
+        least: dict[int, int] = {}  # weight -> least score of a row that heavy
+        for w, sc in zip(weights, row_scores):
+            if sc < least.get(w, math.inf):
+                least[w] = sc
+        floor = [
+            min(sc + floor[max(0, short - w)] for w, sc in least.items())
+            for short in range(need + 1)
+        ]
+        floors.append(floor)
+    floors.reverse()
+    if floors[0][need] >= rhs:
+        return
+    picked: list[int] = []
+
+    def descend(j: int, weight: int, score: int) -> Iterator[tuple[int, ...]]:
+        if j == s:
+            yield tuple(picked)
+            return
+        after = floors[j + 1]
+        for i, (w, sc) in enumerate(zip(weights, scores[j])):
+            if score + sc + after[max(0, need - weight - w)] >= rhs:
+                continue
+            picked.append(i)
+            yield from descend(j + 1, weight + w, score + sc)
+            picked.pop()
+
+    yield from descend(0, 0, 0)
+
+
+def _first_violation(
+    lams: tuple[tuple[int, ...], ...], r: int, n: int, memo: _Memo
+) -> tuple[int, tuple[int, ...], int] | None:
+    """(level, row numbers, slack) of the first violated Horn inequality for
+    the part tuples ``lams`` on Gr(r, n), or None when every one holds."""
+    s = len(lams)
+    for d in range(1, r + 1):
+        table = _level_table(d, r)
+        rhs = (s - 1) * d * (n - r)
+        scores = [[sum(lam[i] for i in row.index) for row in table] for lam in lams]
+        for rows in _violated_candidates(table, scores, (s - 1) * d * (r - d), rhs):
+            if _nonzero(rows, d, r, memo):
+                slack = sum(sc[i] for sc, i in zip(scores, rows)) - rhs
+                return d, rows, slack
+    return None
 
 
 def enumerate_horn(r: int, n: int, s: int) -> Iterator[HornInequality]:
@@ -141,22 +250,18 @@ def enumerate_horn(r: int, n: int, s: int) -> Iterator[HornInequality]:
         raise ValueError(f"need 0 < r < n, got ({r}, {n})")
     if s < 1:
         raise ValueError("need at least one class")
-    cap = n - r
+    memo: _Memo = {}
     for d in range(1, r + 1):
-        rhs = (s - 1) * d * cap
-        inner_dim = d * (r - d)
-        for mus in itertools.product(tuple(all_partitions(d, r - d)), repeat=s):
+        table = _level_table(d, r)
+        rhs = (s - 1) * d * (n - r)
+        need = (s - 1) * d * (r - d)
+        for rows in itertools.product(range(len(table)), repeat=s):
             # Dimension prune (the level-d top-degree bound): cheaper than,
             # and implied by, the recursive certificate below.
-            if sum(mu.weight for mu in mus) < (s - 1) * inner_dim:
+            if sum(table[i].weight for i in rows) < need:
                 continue
-            if d < r and not _nonzero(mus, d, r):
-                continue
-            indices = tuple(
-                tuple(part + k for k, part in enumerate(mu.parts, start=1))
-                for mu in mus
-            )
-            yield HornInequality(d, mus, indices, rhs)
+            if _nonzero(rows, d, r, memo):
+                yield _inequality(d, r, rows, rhs)
 
 
 def evaluate(ineq: HornInequality, lams: Sequence[Partition]) -> int:
@@ -172,16 +277,6 @@ def evaluate(ineq: HornInequality, lams: Sequence[Partition]) -> int:
     return total - ineq.rhs
 
 
-def _first_violation(
-    lams: tuple[Partition, ...], r: int, n: int
-) -> Violation | None:
-    for ineq in enumerate_horn(r, n, len(lams)):
-        slack = evaluate(ineq, lams)
-        if slack < 0:
-            return Violation(ineq, slack)
-    return None
-
-
 def horn_verdict(lams: Sequence[Partition], r: int, n: int) -> Verdict:
     """Nonzero iff every Horn inequality holds; reports the first violation
     in enumeration order otherwise."""
@@ -189,10 +284,12 @@ def horn_verdict(lams: Sequence[Partition], r: int, n: int) -> Verdict:
     _check_box(lams, r, n)
     if len(lams) <= 1 or r == 0 or r == n:
         return Verdict(True, "horn-recursion")
-    violation = _first_violation(lams, r, n)
-    if violation is None:
+    found = _first_violation(tuple(lam.parts for lam in lams), r, n, {})
+    if found is None:
         return Verdict(True, "horn-recursion")
-    return Verdict(False, "horn-recursion", violation)
+    d, rows, slack = found
+    ineq = _inequality(d, r, rows, (len(lams) - 1) * d * (n - r))
+    return Verdict(False, "horn-recursion", Violation(ineq, slack))
 
 
 # --- Littlewood-Richardson oracle -------------------------------------------

@@ -32,6 +32,7 @@ from .exactla import (
     DEFAULT_PRIME,
     Mat,
     Subspace,
+    check_prime,
     derive_seed,
     intersect,
     random_invertible,
@@ -267,7 +268,11 @@ def X_from_flags(lam: Partition, f_src: FlagModel, f_dst: FlagModel) -> Subspace
     if not rows:
         return Subspace.full(ambient, p)
     space = Mat(tuple(rows), p).nullspace()
-    assert space.dim == lam.weight, "constraint system must have nullity |lam|"
+    if space.dim != lam.weight:
+        raise ValueError(
+            f"constraint system has nullity {space.dim}, not |lam| = {lam.weight}: "
+            "both flags must be invertible over the same prime field"
+        )
     return space
 
 
@@ -330,6 +335,7 @@ def transversality_verdict(
 ) -> TransversalityReport:
     """Decide vanishing of the class product by seeded exact intersections."""
     r, cap = _common_box(lams)
+    check_prime(p)
     if trials < 1:
         raise ValueError("need at least one trial")
     s = len(lams)
@@ -571,5 +577,9 @@ def two_step_translate(
                 vec[(jj - 1) * r + (kk - 1)] = cj * rowv[q + kk - 1] % p
         vectors.append(tuple(vec))
     translate = Subspace.from_spanning(vectors, ambient, p)
-    assert translate.dim == model.dim, "translate must preserve the cell dimension"
+    if translate.dim != model.dim:
+        raise RuntimeError(
+            f"translate has dimension {translate.dim}, "
+            f"not the cell dimension {model.dim}"
+        )
     return translate

@@ -18,12 +18,18 @@ never a wrong certificate.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .exactla import DEFAULT_PRIME, Mat, Subspace, derive_seed, intersect
+from .exactla import (
+    DEFAULT_PRIME,
+    Mat,
+    Subspace,
+    check_prime,
+    derive_seed,
+    intersect,
+)
 from .horn import HornInequality, evaluate, horn_verdict, lr_oracle
 from .strings import (
     Partition,
@@ -51,11 +57,6 @@ class NonVanishingProduct(Exception):
 
 class GenericityExhausted(Exception):
     """Random sampling kept producing inconsistent data; no answer given."""
-
-
-# Up to this many r-subsets of n, vanishing is double-checked by the LR
-# oracle; beyond it the Horn recursion is used instead.
-_DESK_SCALE = 1000
 
 
 @dataclass(frozen=True)
@@ -106,27 +107,62 @@ class WitnessTrace:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WitnessTrace":
-        levels = []
-        for rec in data["levels"]:
-            cap = rec["n"] - rec["r"]
-            levels.append(
-                WitnessLevel(
-                    rec["r"],
-                    rec["n"],
-                    tuple(Partition(tuple(x), cap) for x in rec["lams"]),
-                    rec["phi_rank"],
-                    rec["phi_nullity"],
-                    tuple(rec["kernel_positions"]),
-                    tuple(rec["lifted_strings"]),
-                    tuple(Partition(tuple(x), cap) for x in rec["mus"]),
+        """Parse ``to_json_dict`` output; ValueError on any malformed field."""
+        try:
+            levels = []
+            for rec in _items(data["levels"]):
+                r, n = _int(rec["r"]), _int(rec["n"])
+                levels.append(
+                    WitnessLevel(
+                        r,
+                        n,
+                        tuple(Partition(_ints(x), n - r) for x in _items(rec["lams"])),
+                        _int(rec["phi_rank"]),
+                        _int(rec["phi_nullity"]),
+                        _words(rec["kernel_positions"]),
+                        _words(rec["lifted_strings"]),
+                        tuple(Partition(_ints(x), n - r) for x in _items(rec["mus"])),
+                    )
                 )
+            final = data["final"]
+            inner_cap = _int(final["cap"])
+            ineq = HornInequality(
+                _int(final["d"]),
+                tuple(Partition(_ints(x), inner_cap) for x in _items(final["mus"])),
+                tuple(_ints(x) for x in _items(final["indices"])),
+                _int(final["rhs"]),
             )
-        return cls(
-            tuple(levels),
-            HornInequality.from_json_dict(data["final"]),
-            data["slack"],
-            tuple(data["certificates"]),
-        )
+            return cls(
+                tuple(levels),
+                ineq,
+                _int(data["slack"]),
+                _words(data["certificates"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed witness trace: {exc!r}") from None
+
+
+def _items(value: object) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(value: object) -> tuple[int, ...]:
+    return tuple(_int(x) for x in _items(value))
+
+
+def _words(value: object) -> tuple[str, ...]:
+    words = _items(value)
+    if not all(isinstance(w, str) for w in words):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return words
 
 
 @dataclass(frozen=True)
@@ -145,12 +181,6 @@ class _LevelData:
     mus: tuple[Partition, ...]
     rank: int
     nullity: int
-
-
-def _vanishes(lams: Sequence[Partition], r: int, n: int) -> bool:
-    if math.comb(n, r) <= _DESK_SCALE:
-        return not lr_oracle(lams, r, n)
-    return not horn_verdict(lams, r, n).nonzero
 
 
 def _unvec(vec: Sequence[int], rows: int, cols: int, p: int) -> Mat:
@@ -291,9 +321,10 @@ def find_witness(
     cap = n - r
     if any(lam.r != r or lam.cap != cap for lam in lams):
         raise ValueError(f"classes must lie in Lambda({r}, {cap})")
+    check_prime(p)
     if len(lams) < 2 or r == 0 or cap == 0:
         raise NonVanishingProduct("fewer than two proper classes cannot vanish")
-    if not _vanishes(lams, r, n):
+    if horn_verdict(lams, r, n).nonzero:
         raise NonVanishingProduct(f"the product of {len(lams)} classes is nonzero")
 
     levels = _descend(lams, r, cap, 1, seed, p, max_retries)
@@ -352,11 +383,14 @@ def verify_witness(trace: WitnessTrace, lams: Sequence[Partition]) -> bool:
             return False
         # Per-level string consistency.
         for level in trace.levels:
-            if len(level.kernel_positions) != s:
+            if level.phi_rank != level.r - level.phi_nullity:
                 return False
-            for lam, rho_word, lifted_word, mu in zip(
+            fields = (
                 level.lams, level.kernel_positions, level.lifted_strings, level.mus
-            ):
+            )
+            if any(len(field) != s for field in fields):
+                return False
+            for lam, rho_word, lifted_word, mu in zip(*fields):
                 rho = StepString(rho_word, 1)
                 if rho.word.count("1") != level.phi_nullity or rho.n != level.r:
                     return False
@@ -383,9 +417,8 @@ def verify_witness(trace: WitnessTrace, lams: Sequence[Partition]) -> bool:
         # The inequality is genuinely violated...
         if evaluate(final, lams) != trace.final_slack or trace.final_slack >= 0:
             return False
-        # ...and genuinely a Horn inequality: its mu-product is nonzero.
-        if math.comb(r, d) <= _DESK_SCALE:
-            return lr_oracle(final.mus, d, r)
-        return horn_verdict(final.mus, d, r).nonzero
-    except (ValueError, KeyError, IndexError):
+        # ...and genuinely a Horn inequality: its mu-product is nonzero, by
+        # the LR oracle, which shares no code with the search.
+        return lr_oracle(final.mus, d, r)
+    except (ValueError, KeyError, IndexError, TypeError):
         return False

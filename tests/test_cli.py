@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hornkit import cli
+from hornkit.exactla import is_prime
 from hornkit.strings import StepString, string_to_partition
 from hornkit.tangent import hat_X, hat_Y, render_pattern
 from hornkit.witness import GenericityExhausted
@@ -320,7 +321,7 @@ def test_run_config_validation():
 
 
 def test_is_prime_spot_checks():
-    assert cli._is_prime(2) and cli._is_prime(97) and cli._is_prime(2147483647)
-    assert not cli._is_prime(1) and not cli._is_prime(561) and not cli._is_prime(2**31)
+    assert is_prime(2) and is_prime(97) and is_prime(2147483647)
+    assert not is_prime(1) and not is_prime(561) and not is_prime(2**31)
     # a strong pseudoprime to several small bases, caught by the full base set
-    assert not cli._is_prime(3215031751)
+    assert not is_prime(3215031751)

@@ -10,6 +10,7 @@ from hornkit.exactla import (
     DEFAULT_PRIME,
     Mat,
     Subspace,
+    check_prime,
     derive_seed,
     intersect,
     random_borel,
@@ -189,3 +190,11 @@ def test_derive_seed_deterministic_and_sensitive():
     assert derive_seed(1, "x", 2) != derive_seed(1, "x", 3)
     assert derive_seed(1, "x") != derive_seed(1, "y")
     assert derive_seed("2") != derive_seed(2)
+
+
+def test_check_prime_names_the_composite():
+    check_prime(2)
+    check_prime(DEFAULT_PRIME)
+    for bad in (0, 1, 4, 91, 561):
+        with pytest.raises(ValueError, match=f"p = {bad} "):
+            check_prime(bad)

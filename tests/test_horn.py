@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hornkit.horn import (
@@ -320,6 +320,73 @@ def test_lifting_identity(rng):
     sigma = lift(partition_to_string(lam), rho)
     picked = sum(lam.parts[pos - 1] for pos in rho.positions(1))
     assert string_to_partition(substring_uv(sigma, 0, 2)).weight == picked
+
+
+# --- the search order: violated first, certified second -------------------------
+
+
+def _scan_reference(lams, r, n):
+    """The first violated inequality of the plain enumeration stream."""
+    for ineq in enumerate_horn(r, n, len(lams)):
+        slack = evaluate(ineq, lams)
+        if slack < 0:
+            return Verdict(False, "horn-recursion", Violation(ineq, slack))
+    return Verdict(True, "horn-recursion")
+
+
+@st.composite
+def _small_tuples(draw):
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, min(4, n - 1)))
+    s = draw(st.integers(2, 4))
+    part = st.integers(0, n - r)
+    lams = tuple(
+        Partition(tuple(sorted(draw(st.lists(part, min_size=r, max_size=r)))), n - r)
+        for _ in range(s)
+    )
+    return lams, r, n
+
+
+def _case(r, n, *parts):
+    return tuple(Partition(p, n - r) for p in parts), r, n
+
+
+@given(_small_tuples())
+@settings(max_examples=150, deadline=None)
+# nonzero, though the uncertified level-2 inequality with mus (0,2), (1,1)
+# is violated: the certificate, not the dimension count, rules it out
+@example(_case(4, 8, (1, 3, 3, 4), (1, 1, 1, 3)))
+# the first violated level-3 candidate is not certified; the second is,
+# and shares its first factor, so certificates are memoized per mu-tuple
+@example(_case(5, 10, (1, 2, 2, 4, 5), (1, 2, 4, 4, 5), (1, 2, 3, 4, 5)))
+def test_verdict_matches_plain_scan(case):
+    lams, r, n = case
+    v = horn_verdict(lams, r, n)
+    assert v == _scan_reference(lams, r, n)
+    assert v.nonzero == lr_oracle(lams, r, n)
+
+
+def test_cold_nonzero_gr714_triple():
+    # dimension-tight: the weights sum to 2 * 7 * 7, so no level is skipped
+    # outright and the whole recursion runs
+    lams = tuple(
+        Partition(parts, 7)
+        for parts in (
+            (0, 1, 2, 4, 5, 6, 6),
+            (2, 3, 5, 6, 7, 7, 7),
+            (1, 3, 5, 7, 7, 7, 7),
+        )
+    )
+    assert sum(lam.weight for lam in lams) == 2 * 7 * 7
+    v = horn_verdict(lams, 7, 14)
+    assert v.nonzero and v.violated is None
+    assert lr_oracle(lams, 7, 14)
+
+
+def test_numeric_verdict_rejects_composite_prime():
+    lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
+    with pytest.raises(ValueError, match="91"):
+        numeric_verdict(lams, 3, 7, p=91)
 
 
 def test_numeric_verdict_tags():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornkit.exactla import DEFAULT_PRIME, Subspace, derive_seed, intersect
+from hornkit import tangent
+from hornkit.exactla import DEFAULT_PRIME, Mat, Subspace, derive_seed, intersect
 from hornkit.strings import (
     Partition,
     StepString,
@@ -135,6 +136,14 @@ def test_X_flag_size_mismatch():
         X_from_flags(
             Partition((0, 1), 2), FlagModel.standard(3, P), FlagModel.standard(2, P)
         )
+
+
+def test_X_raises_on_flags_over_different_fields():
+    # invertible mod 5 (det -7), but mod 7 the second column is twice the
+    # first, so the constraint rows lose rank and the nullity exceeds |lam|
+    src = FlagModel(Mat(((1, 2), (4, 1)), 5))
+    with pytest.raises(ValueError, match="nullity"):
+        X_from_flags(Partition((0, 1), 3), src, FlagModel.standard(3, 7))
 
 
 # --- eta and hat_Y ------------------------------------------------------------
@@ -360,6 +369,18 @@ def test_two_step_translate_dimension():
             sigma = _random_sigma(rng, counts)
             sub = two_step_translate(sigma, d, r, n, seed=trial)
             assert sub.dim == cell_dimension(sigma)
+
+
+def test_two_step_translate_checks_its_dimension(monkeypatch):
+    # the dimension check is a raised error, so it survives ``python -O``
+    class Deficient(Subspace):
+        @classmethod
+        def from_spanning(cls, vectors, ambient_dim, p):
+            return Subspace.zero(ambient_dim, p)
+
+    monkeypatch.setattr(tangent, "Subspace", Deficient)
+    with pytest.raises(RuntimeError, match="cell dimension"):
+        two_step_translate(StepString("02101", 2), 1, 3, 5)
 
 
 def _block_layers(sigmas, d, r, n, seed):

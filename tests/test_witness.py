@@ -3,9 +3,12 @@
 import dataclasses
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hornkit.witness as witness
 from hornkit.exactla import DEFAULT_PRIME, Subspace, intersect
@@ -203,6 +206,108 @@ def test_verify_rejects_violated_but_non_horn_inequality():
         trace, final=fake, final_slack=-1, certificates=("220", "220")
     )
     assert not verify_witness(bad, MID_PAIR)
+
+
+def test_verify_rejects_inconsistent_rank():
+    trace = _mid_trace()
+    bad = dataclasses.replace(trace.levels[0], phi_rank=2)
+    assert not verify_witness(
+        dataclasses.replace(trace, levels=(bad, trace.levels[1])), MID_PAIR
+    )
+
+
+def test_verify_rejects_non_string_certificate():
+    trace = _mid_trace()
+    bad = dataclasses.replace(trace, certificates=(7, "202"))
+    assert not verify_witness(bad, MID_PAIR)
+
+
+# --- malformed serialized traces ---------------------------------------------------
+
+GOLDEN_GR37 = pathlib.Path(__file__).parent / "golden" / "witness_gr37.json"
+
+
+def _golden_doc():
+    return json.loads(GOLDEN_GR37.read_text())
+
+
+def test_golden_trace_parses_and_verifies():
+    trace = WitnessTrace.from_json_dict(_golden_doc())
+    assert trace == _mid_trace()
+    assert verify_witness(trace, MID_PAIR)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["certificates"].__setitem__(0, 7),
+        lambda doc: doc["levels"][0].__setitem__("lams", None),
+        lambda doc: doc["levels"][0]["mus"].__setitem__(0, "03"),
+        lambda doc: doc["final"].__setitem__("rhs", 8.0),
+        lambda doc: doc["final"].__setitem__("d", True),
+        lambda doc: doc.__delitem__("slack"),
+        lambda doc: doc.__setitem__("levels", [1, 2]),
+    ],
+    ids=["int-certificate", "null-lams", "string-mu", "float-rhs", "bool-d",
+         "missing-slack", "int-levels"],
+)
+def test_from_json_dict_rejects_malformed_fields(mutate):
+    doc = _golden_doc()
+    mutate(doc)
+    with pytest.raises(ValueError):
+        WitnessTrace.from_json_dict(doc)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="0123", max_size=8),
+    st.lists(st.integers(-1, 5), max_size=4),
+    st.lists(st.text(alphabet="012", max_size=4), max_size=3),
+    st.dictionaries(st.sampled_from(["r", "n", "d", "cap"]), st.integers(0, 5)),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_never_raises_on_mutated_trace(data):
+    """Replace one node of a genuine serialized trace by an arbitrary JSON
+    value: parsing either fails with ValueError or gives a trace that
+    verify_witness accepts only when it is the original one."""
+    original = _golden_doc()
+    doc = _golden_doc()
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    value = data.draw(_JSON_VALUES)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        trace = WitnessTrace.from_json_dict(doc)
+    except ValueError:
+        return
+    accepted = verify_witness(trace, MID_PAIR)
+    assert not accepted or trace == WitnessTrace.from_json_dict(original)
+
+
+# --- input validation ---------------------------------------------------------------
+
+
+def test_find_witness_rejects_composite_prime():
+    with pytest.raises(ValueError, match="91"):
+        find_witness(MID_PAIR, 3, 7, p=91)
 
 
 # --- soundness sweep ---------------------------------------------------------------
