@@ -4,7 +4,8 @@ Everything downstream (tangent-space intersections, kernel descent) needs
 exact ranks and canonical subspace bases, so all arithmetic is modular with
 a large default prime.  Matrices are tuples of row tuples; subspaces carry
 a reduced-row-echelon basis, which makes equality of subspaces literal
-equality of data.
+equality of data.  ``Subspace.from_equations`` solves stacked linear
+equations with one nullspace; ``intersect`` first turns bases into them.
 
 Randomness is fed through ``random.Random`` seeded deterministically;
 ``derive_seed`` hashes a label tuple so independent draws inside one run
@@ -13,10 +14,12 @@ never share a stream.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+# The same object as hashlib.blake2b, without loading OpenSSL's _hashlib.
+from _blake2 import blake2b
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -28,7 +31,6 @@ __all__ = [
     "Subspace",
     "intersect",
     "random_invertible",
-    "random_borel",
 ]
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -68,7 +70,7 @@ def check_prime(p: int) -> None:
 
 def derive_seed(*parts: object) -> int:
     """Stable sub-seed from a tuple of labels (ints, strings, tuples...)."""
-    digest = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
+    digest = blake2b(repr(parts).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -120,10 +122,6 @@ class Mat:
     @property
     def ncols(self) -> int:
         return len(self.data[0]) if self.data else 0
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int, p: int) -> "Mat":
-        return cls(tuple((0,) * ncols for _ in range(nrows)), p)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "Mat":
@@ -200,6 +198,15 @@ class Subspace:
         return cls(ambient_dim, p, reduced)
 
     @classmethod
+    def from_equations(
+        cls, rows: Sequence[Sequence[int]], ambient_dim: int, p: int
+    ) -> "Subspace":
+        """{v : row . v = 0 for every row}; the whole space when there are none."""
+        if not rows:
+            return cls.full(ambient_dim, p)
+        return Mat(tuple(rows), p).nullspace()
+
+    @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "Subspace":
         return cls(ambient_dim, p, ())
 
@@ -221,9 +228,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """{f : f(v) = 0 for all v in the subspace}, via the basis nullspace."""
-        if not self.basis:
-            return Subspace.full(self.ambient_dim, self.p)
-        return Mat(self.basis, self.p).nullspace()
+        return Subspace.from_equations(self.basis, self.ambient_dim, self.p)
 
     def random_element(self, rng: random.Random) -> tuple[int, ...]:
         vec = [0] * self.ambient_dim
@@ -243,9 +248,7 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     functionals: list[tuple[int, ...]] = []
     for s in spaces:
         functionals.extend(s.annihilator().basis)
-    if not functionals:
-        return Subspace.full(ambient, p)
-    return Mat(tuple(functionals), p).nullspace()
+    return Subspace.from_equations(functionals, ambient, p)
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random, p: int) -> Mat:
@@ -261,19 +264,3 @@ def random_invertible(n: int, rng: random.Random, p: int) -> Mat:
         if m.rank() == n:
             return m
 
-
-def random_borel(n: int, flag_order: Sequence[int], rng: random.Random, p: int) -> Mat:
-    """Random invertible matrix preserving the coordinate flag in the given order.
-
-    flag_order lists 0-based coordinates; entry (flag_order[i], flag_order[j])
-    may be nonzero only for i <= j, and the diagonal is sampled nonzero, so the
-    result maps span{e_{flag_order[0..l]}} into itself for every l.
-    """
-    if sorted(flag_order) != list(range(n)):
-        raise ValueError("flag_order must be a permutation of 0..n-1")
-    entries = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = rng.randrange(1, p) if i == j else rng.randrange(p)
-            entries[flag_order[i]][flag_order[j]] = val
-    return Mat(tuple(tuple(row) for row in entries), p)

@@ -12,6 +12,11 @@ n-space are 012-strings; the tangent model is a three-block grid (the
 lower-left block is absent) whose free cells are read off the
 position-sorting permutation eta of the string.
 
+A Schubert tangent space is held as its defining equations
+(``tangent_equations``).  Intersecting tangent spaces stacks their
+equations: the intersection dimension is r * (n-r) minus the rank of the
+stack, and a basis is computed only where a vector is needed.
+
 Vanishing of a product of Schubert classes is decided numerically by
 intersecting seeded random translates of these tangent models over a big
 prime field: the product is nonzero exactly when the intersection
@@ -31,20 +36,14 @@ from typing import Sequence
 from .exactla import (
     DEFAULT_PRIME,
     Mat,
+    Rows,
     Subspace,
     check_prime,
     derive_seed,
-    intersect,
     random_invertible,
+    rref,
 )
-from .strings import (
-    Partition,
-    StepString,
-    cell_dimension,
-    partition_to_string,
-    string_to_partition,
-    substring_uv,
-)
+from .strings import Partition, StepString
 
 __all__ = [
     "PatternSpace",
@@ -53,6 +52,7 @@ __all__ = [
     "hat_X",
     "hat_Y",
     "blocks_of",
+    "tangent_equations",
     "X_from_flags",
     "generic_tangents",
     "tangents_with_flags",
@@ -193,11 +193,6 @@ class TwoStepModel:
     def dim(self) -> int:
         return self.full.dim
 
-    @property
-    def ambient_dim(self) -> int:
-        """Dimension of the two-step tangent space (three blocks)."""
-        return (self.n - self.r) * self.r + (self.r - self.d) * self.d
-
 
 def hat_Y(sigma: StepString, d: int, r: int, n: int) -> TwoStepModel:
     """Build the two-step tangent model of a 012-string."""
@@ -239,35 +234,42 @@ def blocks_of(model: TwoStepModel) -> tuple[PatternSpace, PatternSpace, PatternS
     return model.blocks
 
 
-def X_from_flags(lam: Partition, f_src: FlagModel, f_dst: FlagModel) -> Subspace:
-    """Tangent space of a Schubert variety: all maps phi with
+def tangent_equations(
+    lam: Partition, f_src: FlagModel, f_dst: FlagModel
+) -> list[tuple[int, ...]]:
+    """Defining equations of a Schubert tangent space: the maps phi with
     phi(span of first l source-flag vectors) inside span of first lam_l
-    destination-flag vectors, as a subspace of the row-major vectorized
-    (n-r) x r grid.  Its dimension is |lam| for every pair of flags.
+    destination-flag vectors, on the row-major vectorized (n-r) x r grid.
+    One row per source vector l and destination coordinate c > lam_l.
     """
     r, cap = lam.r, lam.cap
     if f_src.size != r or f_dst.size != cap:
         raise ValueError(
             f"flag sizes {(f_src.size, f_dst.size)} do not match lam in {r}x{cap}"
         )
-    p = f_dst.p if cap else f_src.p
+    p = f_dst.p
     ambient = cap * r
     rows = []
-    if cap:
-        winv = f_dst.matrix.inverse()
-        for l in range(1, r + 1):
-            v = f_src.vector(l)
-            for c in range(lam.parts[l - 1] + 1, cap + 1):
-                row = [0] * ambient
-                for a in range(1, cap + 1):
-                    coeff = winv.data[c - 1][a - 1]
-                    if coeff:
-                        for b in range(1, r + 1):
-                            row[(a - 1) * r + (b - 1)] = coeff * v[b - 1] % p
-                rows.append(tuple(row))
-    if not rows:
-        return Subspace.full(ambient, p)
-    space = Mat(tuple(rows), p).nullspace()
+    winv = f_dst.matrix.inverse()
+    for l in range(1, r + 1):
+        v = f_src.vector(l)
+        for c in range(lam.parts[l - 1] + 1, cap + 1):
+            row = [0] * ambient
+            for a in range(1, cap + 1):
+                coeff = winv.data[c - 1][a - 1]
+                if coeff:
+                    for b in range(1, r + 1):
+                        row[(a - 1) * r + (b - 1)] = coeff * v[b - 1] % p
+            rows.append(tuple(row))
+    return rows
+
+
+def X_from_flags(lam: Partition, f_src: FlagModel, f_dst: FlagModel) -> Subspace:
+    """The tangent space cut out by ``tangent_equations``, as a subspace;
+    its dimension is |lam| for every pair of flags."""
+    p = f_dst.p if lam.cap else f_src.p
+    rows = tangent_equations(lam, f_src, f_dst)
+    space = Subspace.from_equations(rows, lam.cap * lam.r, p)
     if space.dim != lam.weight:
         raise ValueError(
             f"constraint system has nullity {space.dim}, not |lam| = {lam.weight}: "
@@ -278,11 +280,11 @@ def X_from_flags(lam: Partition, f_src: FlagModel, f_dst: FlagModel) -> Subspace
 
 def tangents_with_flags(
     lams: Sequence[Partition], flag_pairs: Sequence[tuple[FlagModel, FlagModel]]
-) -> list[Subspace]:
-    """One tangent subspace per class, from explicitly given (src, dst) flags."""
+) -> list[list[tuple[int, ...]]]:
+    """One tangent equation list per class, from explicitly given (src, dst) flags."""
     if len(lams) != len(flag_pairs):
         raise ValueError("one flag pair per partition required")
-    return [X_from_flags(lam, fs, fd) for lam, (fs, fd) in zip(lams, flag_pairs)]
+    return [tangent_equations(lam, fs, fd) for lam, (fs, fd) in zip(lams, flag_pairs)]
 
 
 def _random_flag_pair(
@@ -295,9 +297,10 @@ def _random_flag_pair(
 
 def generic_tangents(
     lams: Sequence[Partition], seed: int = 0, p: int = DEFAULT_PRIME
-) -> list[Subspace]:
-    """Tangent subspaces from independent seeded random flags, one per class."""
+) -> list[list[tuple[int, ...]]]:
+    """Tangent equations from independent seeded random flags, one list per class."""
     _common_box(lams)
+    check_prime(p)
     pairs = [
         _random_flag_pair(lam.r, lam.cap, derive_seed(seed, "tangents", i), p)
         for i, lam in enumerate(lams)
@@ -342,39 +345,52 @@ def transversality_verdict(
     expected = sum(lam.weight for lam in lams) - (s - 1) * r * cap
     achieved = None
     for t in range(trials):
-        spaces = generic_tangents(lams, derive_seed(seed, "trial", t), p)
-        dim = intersect(spaces).dim if s > 1 else spaces[0].dim
+        equations = generic_tangents(lams, derive_seed(seed, "trial", t), p)
+        stacked = [row for rows in equations for row in rows]
+        dim = r * cap - len(rref(stacked, r * cap, p)[1])
         achieved = dim if achieved is None else min(achieved, dim)
         if achieved == expected:
             break  # cannot go lower: the virtual dimension is a hard floor
     return TransversalityReport(achieved == expected, achieved, expected)
 
 
-def schubert_position(v: Subspace, flag: FlagModel) -> StepString:
-    """The 01-string recording where dim(V intersect flag step) jumps."""
+def _flag_echelon(v: Subspace, flag: FlagModel) -> tuple[Rows, tuple[int, ...]]:
+    """RREF of V's basis in flag coordinates, last coordinate first.
+
+    A row with pivot column k has its last nonzero flag coordinate at
+    flag vector n - k, so it is a vector of V that enters at step n - k;
+    the rows with pivots >= n - l span V intersect flag step l.
+    """
     if v.ambient_dim != flag.size:
         raise ValueError("subspace and flag live in different ambient spaces")
-    letters = []
-    prev = 0
-    for l in range(1, flag.size + 1):
-        cur = intersect([v, flag.step(l)]).dim
-        letters.append("1" if cur > prev else "0")
-        prev = cur
-    return StepString("".join(letters), 1)
+    dual = flag.matrix.inverse().data[::-1]
+    coords = [
+        tuple(sum(a * x for a, x in zip(drow, vec)) for drow in dual) for vec in v.basis
+    ]
+    return rref(coords, flag.size, flag.p)
+
+
+def schubert_position(v: Subspace, flag: FlagModel) -> StepString:
+    """The 01-string recording where dim(V intersect flag step) jumps."""
+    n = flag.size
+    entered = {n - k for k in _flag_echelon(v, flag)[1]}
+    word = "".join("1" if l in entered else "0" for l in range(1, n + 1))
+    return StepString(word, 1)
 
 
 def induced_flag(flag: FlagModel, v: Subspace) -> tuple[FlagModel, FlagModel]:
     """Flags induced on a subspace and on its quotient.
 
-    Intersecting the flag steps with V and dropping repeats gives a full
-    flag on V (steps where the position string has a '1'); the images of
-    the remaining steps give a full flag on the quotient.  V is returned
-    in the coordinates of its canonical basis; the quotient in the
-    non-pivot coordinates, via reduction modulo V.
+    The echelon rows of ``_flag_echelon``, taken in the order their steps
+    enter V, give a full flag on V (steps where the position string has a
+    '1'); the images of the remaining flag vectors give a full flag on the
+    quotient.  V is returned in the coordinates of its canonical basis; the
+    quotient in the non-pivot coordinates, via reduction modulo V.
     """
     p = flag.p
     n = flag.size
-    pos = schubert_position(v, flag)
+    rows, flag_pivots = _flag_echelon(v, flag)
+    entered = {n - k for k in flag_pivots}
     pivots = tuple(next(j for j, x in enumerate(row) if x) for row in v.basis)
     nonpivots = [j for j in range(n) if j not in set(pivots)]
 
@@ -386,18 +402,19 @@ def induced_flag(flag: FlagModel, v: Subspace) -> tuple[FlagModel, FlagModel]:
                 out = [(a - c * b) % p for a, b in zip(out, brow)]
         return out
 
+    at_pivots = [flag.matrix.data[piv] for piv in pivots]
     sub_columns: list[tuple[int, ...]] = []
-    chosen = Subspace.zero(n, p)
+    for row in reversed(rows):  # pivots descend as the entry steps ascend
+        coeffs = row[::-1]  # flag coordinates of a vector of V
+        sub_columns.append(
+            tuple(sum(c * x for c, x in zip(coeffs, frow)) % p for frow in at_pivots)
+        )
     quot_columns: list[tuple[int, ...]] = []
-    for l, letter in enumerate(pos.word, start=1):
-        if letter == "1":
-            meet = intersect([v, flag.step(l)])
-            new = next(row for row in meet.basis if not chosen.contains(row))
-            chosen = Subspace.from_spanning(chosen.basis + (new,), n, p)
-            sub_columns.append(tuple(new[piv] for piv in pivots))
-        else:
-            reduced = reduce_mod_v(flag.vector(l))
-            quot_columns.append(tuple(reduced[j] for j in nonpivots))
+    for l in range(1, n + 1):
+        if l in entered:
+            continue
+        reduced = reduce_mod_v(flag.vector(l))
+        quot_columns.append(tuple(reduced[j] for j in nonpivots))
     sub_mat = Mat(tuple(zip(*sub_columns)) if sub_columns else (), p)
     quot_mat = Mat(tuple(zip(*quot_columns)) if quot_columns else (), p)
     return FlagModel(sub_mat), FlagModel(quot_mat)
@@ -431,13 +448,6 @@ def minimal_coordinate_flag(
         tuple(1 if i == alpha[l] - 1 else 0 for l in range(n)) for i in range(n)
     )
     return FlagModel(Mat(cols, p))
-
-
-def _block_of_cell(j: int, k: int, d: int, r: int, n: int) -> str:
-    q, m = n - r, r - d
-    if j <= q:
-        return "01" if k <= m else "02"
-    return "12"
 
 
 def opposite_cells(
@@ -528,6 +538,7 @@ def two_step_translate(
     projection back onto the three blocks.  The translate's dimension
     equals the cell dimension of sigma.
     """
+    check_prime(p)
     model = hat_Y(sigma, d, r, n)
     q, m = n - r, r - d
     rng = random.Random(derive_seed(seed, "two-step", sigma.word))

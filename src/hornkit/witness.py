@@ -8,7 +8,8 @@ problem to a strictly smaller Grassmannian with the same cap.  The
 descent ends when the intersection is {0}, where the pure dimension count
 is violated; composing the per-level kernel positions back up turns that
 terminal inequality into a violated Horn inequality for the original
-classes, certified by explicit index-tracking strings.
+classes, certified by explicit index-tracking strings.  Each level's
+intersection is one nullspace of the stacked tangent equations.
 
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
@@ -28,7 +29,6 @@ from .exactla import (
     Subspace,
     check_prime,
     derive_seed,
-    intersect,
 )
 from .horn import HornInequality, evaluate, horn_verdict, lr_oracle
 from .strings import (
@@ -173,7 +173,6 @@ class _LevelData:
     r: int
     cap: int
     flag_pairs: tuple[tuple[FlagModel, FlagModel], ...]
-    tangents: tuple[Subspace, ...]
     meet: Subspace
     kernel: Subspace
     rho: tuple[StepString, ...]
@@ -218,8 +217,10 @@ def _descend(
             )
             for i in range(s)
         )
-        tangents = tuple(tangents_with_flags(lams, flag_pairs))
-        meet = intersect(tangents)
+        equations = tangents_with_flags(lams, flag_pairs)
+        meet = Subspace.from_equations(
+            [row for rows in equations for row in rows], r * cap, p
+        )
         if meet.dim == 0:
             # phi = 0: the kernel is the whole level space and the level's
             # dimensional inequality is the violated one.
@@ -231,7 +232,6 @@ def _descend(
                     r,
                     cap,
                     flag_pairs,
-                    tangents,
                     meet,
                     Subspace.full(r, p),
                     (ones,) * s,
@@ -269,7 +269,6 @@ def _descend(
             r,
             cap,
             flag_pairs,
-            tangents,
             meet,
             kernels[0],
             rho,

@@ -1,6 +1,11 @@
 """Exact linear algebra over a prime field: canonical forms and intersections."""
 
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +18,6 @@ from hornkit.exactla import (
     check_prime,
     derive_seed,
     intersect,
-    random_borel,
     random_invertible,
     random_matrix,
     rref,
@@ -124,6 +128,15 @@ def test_annihilator_dimensions():
                 assert sum(x * y for x, y in zip(f, b)) % P == 0
 
 
+def test_from_equations_is_the_solution_space():
+    assert Subspace.from_equations([], 4, P) == Subspace.full(4, P)
+    rng = random.Random(5)
+    for _ in range(20):
+        v = random_subspace(rng, 5)
+        # a space is cut out by its annihilator's basis
+        assert Subspace.from_equations(v.annihilator().basis, 5, P) == v
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=100)
 def test_intersect_dimension_formula(rng):
@@ -167,21 +180,6 @@ def test_random_matrix_shape():
     assert len(m.data) == 3 and all(len(row) == 5 for row in m.data)
 
 
-def test_random_borel_pattern():
-    rng = random.Random(2)
-    order = (2, 0, 1)  # flag order: vector 2 first, then 0, then 1
-    m = random_borel(3, order, rng, P)
-    # column of a later flag vector cannot hit an earlier flag vector's row
-    # free iff i <= j in flag order: entry (order[i], order[j]) may be nonzero
-    spots = {(order[i], order[j]) for i in range(3) for j in range(3) if i <= j}
-    for a in range(3):
-        for b in range(3):
-            if (a, b) not in spots:
-                assert m.data[a][b] == 0
-    for i in range(3):
-        assert m.data[order[i]][order[i]] != 0
-
-
 # --- seed derivation ---------------------------------------------------------
 
 
@@ -190,6 +188,22 @@ def test_derive_seed_deterministic_and_sensitive():
     assert derive_seed(1, "x", 2) != derive_seed(1, "x", 3)
     assert derive_seed(1, "x") != derive_seed(1, "y")
     assert derive_seed("2") != derive_seed(2)
+
+
+def test_derive_seed_matches_hashlib_blake2b():
+    for parts in ((), (0,), (1, "x", 2), ("witness-level", 3, (4, 5)), (-7, "a", None)):
+        digest = hashlib.blake2b(repr(parts).encode(), digest_size=8).digest()
+        assert derive_seed(*parts) == int.from_bytes(digest, "big")
+
+
+def test_import_leaves_openssl_hash_module_unloaded():
+    code = "import sys, hornkit; print('_hashlib' in sys.modules)"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_check_prime_names_the_composite():

@@ -28,6 +28,7 @@ from hornkit.strings import (
     string_to_partition,
     substring_uv,
 )
+from hornkit.tangent import generic_tangents, two_step_translate
 
 
 def _random_partition(rng, r, cap):
@@ -387,6 +388,11 @@ def test_numeric_verdict_rejects_composite_prime():
     lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
     with pytest.raises(ValueError, match="91"):
         numeric_verdict(lams, 3, 7, p=91)
+    # the tangent-layer entry points validate p themselves
+    with pytest.raises(ValueError, match="p = 4 "):
+        generic_tangents(lams, p=4)
+    with pytest.raises(ValueError, match="p = 4 "):
+        two_step_translate(StepString("02101", 2), 1, 3, 5, p=4)
 
 
 def test_numeric_verdict_tags():

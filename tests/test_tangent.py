@@ -36,6 +36,7 @@ from hornkit.tangent import (
     render_overlay,
     render_pattern,
     schubert_position,
+    tangent_equations,
     transversality_verdict,
     two_step_translate,
 )
@@ -90,7 +91,7 @@ def test_pattern_subspace_roundtrip():
     assert sub.contains(tuple(vec))
 
 
-# --- X_from_flags -------------------------------------------------------------
+# --- X_from_flags and tangent equations ----------------------------------------
 
 
 def test_X_standard_flags_equals_pattern():
@@ -129,6 +130,35 @@ def test_X_dim_equals_weight_exhaustive():
                 src = FlagModel.random(r, random.Random(seed), P)
                 dst = FlagModel.random(cap, random.Random(seed + 1), P)
                 assert X_from_flags(lam, src, dst).dim == lam.weight
+
+
+@st.composite
+def _classes_with_flags(draw):
+    """s classes in one box, each with its own random flag pair; sometimes
+    every class is the full box, whose tangent has no equations."""
+    r, cap = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    s = draw(st.integers(1, 3))
+    p = draw(st.sampled_from((7, P)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        lams = [Partition((cap,) * r, cap)] * s
+    else:
+        part = st.lists(st.integers(0, cap), min_size=r, max_size=r)
+        lams = [Partition(sorted(draw(part)), cap) for _ in range(s)]
+    pairs = [(FlagModel.random(r, rng, p), FlagModel.random(cap, rng, p)) for _ in lams]
+    return lams, pairs, p
+
+
+@given(_classes_with_flags())
+@settings(max_examples=80, deadline=None)
+def test_stacked_equations_cut_out_the_intersection(case):
+    lams, pairs, p = case
+    r, cap = lams[0].r, lams[0].cap
+    stacked = [
+        row for lam, fp in zip(lams, pairs) for row in tangent_equations(lam, *fp)
+    ]
+    spaces = [X_from_flags(lam, *fp) for lam, fp in zip(lams, pairs)]
+    assert Subspace.from_equations(stacked, r * cap, p) == intersect(spaces)
 
 
 def test_X_flag_size_mismatch():
@@ -259,7 +289,62 @@ def test_schubert_position_of_flag_steps():
     assert schubert_position(V, flag).word == "0100110"
 
 
+def _position_by_definition(v, flag):
+    dims = [intersect([v, flag.step(l)]).dim for l in range(flag.size + 1)]
+    return "".join("1" if b > a else "0" for a, b in zip(dims, dims[1:]))
+
+
+@st.composite
+def _subspaces_with_flags(draw):
+    """A random flag and a subspace spanned either by random vectors or by
+    mixtures of a few flag vectors, which sit in special position."""
+    n = draw(st.integers(1, 7))
+    p = draw(st.sampled_from((7, P)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    flag = FlagModel.random(n, rng, p)
+    k = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        vectors = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)]
+    else:
+        vectors = []
+        for _ in range(k):
+            picks = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+            vec = [0] * n
+            for l in picks:
+                c = rng.randrange(1, p)
+                vec = [(x + c * y) % p for x, y in zip(vec, flag.vector(l))]
+            vectors.append(tuple(vec))
+    return Subspace.from_spanning(vectors, n, p), flag
+
+
+@given(_subspaces_with_flags())
+@settings(max_examples=150, deadline=None)
+def test_schubert_position_matches_definition(case):
+    v, flag = case
+    assert schubert_position(v, flag).word == _position_by_definition(v, flag)
+
+
 # --- induced flags -------------------------------------------------------------
+
+
+@given(_subspaces_with_flags())
+@settings(max_examples=80, deadline=None)
+def test_induced_flag_steps_are_the_meets(case):
+    # step j of the flag induced on V, mapped back to ambient coordinates,
+    # is V intersect the ambient flag step where V's dimension reaches j
+    v, flag = case
+    fv, _ = induced_flag(flag, v)
+    jumps = schubert_position(v, flag).positions(1)
+    for j, jump in enumerate(jumps, start=1):
+        ambient = []
+        for col in range(j):
+            coords = fv.matrix.column(col)
+            vec = [0] * v.ambient_dim
+            for c, row in zip(coords, v.basis):
+                vec = [(x + c * y) % v.p for x, y in zip(vec, row)]
+            ambient.append(tuple(vec))
+        step = Subspace.from_spanning(ambient, v.ambient_dim, v.p)
+        assert step == intersect([v, flag.step(jump)])
 
 
 def test_induced_flag_steps_track_positions():
@@ -347,8 +432,9 @@ def test_transversality_negative_virtual_dimension():
 
 def test_generic_tangents_single():
     lam = Partition((1, 2), 3)
-    (space,) = generic_tangents([lam], seed=7)
-    assert space.dim == 3
+    (rows,) = generic_tangents([lam], seed=7)
+    assert len(rows) == 3  # (3 - 1) + (3 - 2) destination steps to avoid
+    assert Subspace.from_equations(rows, 6, P).dim == 3
 
 
 # --- two-step translates and the splitting/degree batteries ---------------------

@@ -400,6 +400,7 @@ def test_kernel_position_stability():
 
 def test_kernel_lies_in_every_sampled_map():
     for level in _descend_levels(BIG_PAIR, 6, 10):
-        for tangent in level.tangents:
+        for lam, fp in zip(level.lams, level.flag_pairs):
+            tangent = X_from_flags(lam, *fp)
             for row in level.meet.basis:
                 assert tangent.contains(row)
