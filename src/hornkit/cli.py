@@ -16,6 +16,10 @@ Exit codes: 0 nonzero / success, 10 product is zero, 2 bad input,
 3 witness requested for a nonzero product, 4 random sampling exhausted,
 1 internal disagreement.  The environment variable HORNKIT_SEED supplies
 the default seed.
+
+Start-up is part of every answer: a single ``check`` runs in a fresh
+process, so the package imports only the standard-library modules it
+uses (no ``dataclasses``, no ``inspect``; see ``hornkit._record``).
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME, is_prime
 from .horn import enumerate_horn, horn_verdict, lr_oracle
 from .strings import Partition, StepString, parse_partition, string_to_partition
@@ -59,20 +63,27 @@ class CLIError(Exception):
     """Bad input; the message goes to stderr and the exit code is 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    trials: int = 3
-    fmt: str = "json"
+class RunConfig(Record):
+    __slots__ = ("prime", "seed", "trials", "fmt")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise CLIError(f"--prime {self.prime} is not a prime number")
-        if self.trials < 1:
+    def __init__(
+        self,
+        prime: int = DEFAULT_PRIME,
+        seed: int = 0,
+        trials: int = 3,
+        fmt: str = "json",
+    ) -> None:
+        if not is_prime(prime):
+            raise CLIError(f"--prime {prime} is not a prime number")
+        if trials < 1:
             raise CLIError("--trials must be at least 1")
-        if self.fmt not in ("json", "text", "diagram"):
-            raise CLIError(f"unknown format {self.fmt!r}")
+        if fmt not in ("json", "text", "diagram"):
+            raise CLIError(f"unknown format {fmt!r}")
+        setfield(self, "prime", prime)
+        setfield(self, "seed", seed)
+        setfield(self, "trials", trials)
+        setfield(self, "fmt", fmt)
+        setfield(self, "_key", (prime, seed, trials, fmt))
 
 
 def parse_classes(text: str) -> tuple[tuple[Partition, ...], int, int]:

@@ -4,7 +4,8 @@ Everything downstream (tangent-space intersections, kernel descent) needs
 exact ranks and canonical subspace bases, so all arithmetic is modular with
 a large default prime.  Matrices are tuples of row tuples; subspaces carry
 a reduced-row-echelon basis, which makes equality of subspaces literal
-equality of data.  ``Subspace.from_equations`` solves stacked linear
+equality of data.  ``Mat`` and ``Subspace`` are immutable value records
+(``hornkit._record``).  ``Subspace.from_equations`` solves stacked linear
 equations with one nullspace; ``intersect`` first turns bases into them.
 
 Randomness is fed through ``random.Random`` seeded deterministically;
@@ -15,11 +16,12 @@ never share a stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 # The same object as hashlib.blake2b, without loading OpenSSL's _hashlib.
 from _blake2 import blake2b
+
+from ._record import Record, setfield
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -102,18 +104,18 @@ def rref(rows: Iterable[Sequence[int]], ncols: int, p: int) -> tuple[Rows, tuple
     return reduced, tuple(pivots)
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(Record):
     """Immutable matrix over F_p: tuple of row tuples."""
 
-    data: Rows
-    p: int
+    __slots__ = ("data", "p")
 
-    def __post_init__(self) -> None:
-        data = tuple(tuple(int(x) % self.p for x in row) for row in self.data)
+    def __init__(self, data: Rows, p: int) -> None:
+        data = tuple(tuple(int(x) % p for x in row) for row in data)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "data", data)
+        setfield(self, "data", data)
+        setfield(self, "p", p)
+        setfield(self, "_key", (data, p))
 
     @property
     def nrows(self) -> int:
@@ -179,16 +181,19 @@ class Mat:
         return Subspace.from_spanning(basis, self.ncols, p)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of F_p^ambient_dim with a canonical (RREF) row basis.
 
     Two Subspace objects are equal exactly when they are the same subspace.
     """
 
-    ambient_dim: int
-    p: int
-    basis: Rows
+    __slots__ = ("ambient_dim", "p", "basis")
+
+    def __init__(self, ambient_dim: int, p: int, basis: Rows) -> None:
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "p", p)
+        setfield(self, "basis", basis)
+        setfield(self, "_key", (ambient_dim, p, basis))
 
     @classmethod
     def from_spanning(

@@ -28,6 +28,9 @@ The LR oracle decides the same question by brute force: expand the
 product of the complementary Schur polynomials inside the r x (n-r) box
 by the Littlewood-Richardson rule and ask whether anything survives.  It
 shares no code with the recursion and serves as ground truth in tests.
+
+Inequalities, violations and verdicts are immutable value records
+(``hornkit._record``) with a ``to_json_dict`` form.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME
 from .strings import Partition
 from .tangent import TransversalityReport, transversality_verdict
@@ -55,27 +58,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HornInequality:
+class HornInequality(Record):
     """One Horn inequality: level d, the certifying tuple mus, the index
     sets {mu^i_k + k}, and the right-hand side (s-1) * d * (n-r)."""
 
-    d: int
-    mus: tuple[Partition, ...]
-    indices: tuple[tuple[int, ...], ...]
-    rhs: int
+    __slots__ = ("d", "mus", "indices", "rhs")
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(
+        self,
+        d: int,
+        mus: tuple[Partition, ...],
+        indices: tuple[tuple[int, ...], ...],
+        rhs: int,
+    ) -> None:
+        if d < 1:
             raise ValueError("level d must be positive")
-        if len(self.mus) != len(self.indices):
+        if len(mus) != len(indices):
             raise ValueError("one index set per mu required")
-        for mu, idx in zip(self.mus, self.indices):
-            if mu.r != self.d or len(idx) != self.d:
+        for mu, idx in zip(mus, indices):
+            if mu.r != d or len(idx) != d:
                 raise ValueError("index sets must have size d")
             expected = tuple(part + k for k, part in enumerate(mu.parts, start=1))
             if idx != expected:
                 raise ValueError(f"indices {idx} do not match mu {mu.parts}")
+        setfield(self, "d", d)
+        setfield(self, "mus", mus)
+        setfield(self, "indices", indices)
+        setfield(self, "rhs", rhs)
+        setfield(self, "_key", (d, mus, indices, rhs))
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,28 +103,34 @@ class HornInequality:
         return cls(data["d"], mus, indices, data["rhs"])
 
 
-@dataclass(frozen=True)
-class Violation:
-    inequality: HornInequality
-    slack: int
+class Violation(Record):
+    __slots__ = ("inequality", "slack")
+
+    def __init__(self, inequality: HornInequality, slack: int) -> None:
+        setfield(self, "inequality", inequality)
+        setfield(self, "slack", slack)
+        setfield(self, "_key", (inequality, slack))
 
     def to_json_dict(self) -> dict:
         return {**self.inequality.to_json_dict(), "slack": self.slack}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one vanishing decision; ``violated`` is set when the Horn
     recursion found a failing inequality."""
 
-    nonzero: bool
-    method: str
-    violated: Violation | None = None
+    __slots__ = ("nonzero", "method", "violated")
 
-    def __post_init__(self) -> None:
-        if not self.nonzero and self.method == "horn-recursion":
-            if self.violated is None or self.violated.slack >= 0:
+    def __init__(
+        self, nonzero: bool, method: str, violated: Violation | None = None
+    ) -> None:
+        if not nonzero and method == "horn-recursion":
+            if violated is None or violated.slack >= 0:
                 raise ValueError("a zero horn verdict must carry a violation")
+        setfield(self, "nonzero", nonzero)
+        setfield(self, "method", method)
+        setfield(self, "violated", violated)
+        setfield(self, "_key", (nonzero, method, violated))
 
     def to_json_dict(self) -> dict:
         return {

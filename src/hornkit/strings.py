@@ -12,13 +12,18 @@ flag manifolds; k = 2 is the two-step case used by the kernel-descent
 witness.  The substring and projection operators slice a 012-string back
 down to 01-strings, and ``lift`` goes the other way: it refines a
 01-string by marking a subset of its '1's as '2's.
+
+``Partition``, ``StepString`` and ``LiftCertificate`` are immutable value
+records (``hornkit._record``): equal when their fields are, hashable, and
+validated on construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
+
+from ._record import Record, setfield
 
 __all__ = [
     "Partition",
@@ -39,22 +44,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly increasing parts in [0, cap]; the number of parts is the rank r."""
 
-    parts: tuple[int, ...]
-    cap: int
+    __slots__ = ("parts", "cap")
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(x) for x in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if self.cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {self.cap}")
-        if any(x < 0 or x > self.cap for x in parts):
-            raise ValueError(f"parts {parts} must lie in [0, {self.cap}]")
+    def __init__(self, parts: tuple[int, ...], cap: int) -> None:
+        parts = tuple(int(x) for x in parts)
+        if cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {cap}")
+        if any(x < 0 or x > cap for x in parts):
+            raise ValueError(f"parts {parts} must lie in [0, {cap}]")
         if any(a > b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts {parts} must be weakly increasing")
+        setfield(self, "parts", parts)
+        setfield(self, "cap", cap)
+        setfield(self, "_key", (parts, cap))
 
     @property
     def r(self) -> int:
@@ -73,21 +78,22 @@ class Partition:
         return format_partition(self)
 
 
-@dataclass(frozen=True)
-class StepString:
+class StepString(Record):
     """A word over the alphabet {0, ..., k}, stored as contiguous digits."""
 
-    word: str
-    k: int
+    __slots__ = ("word", "k")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"alphabet bound k must be >= 1, got {self.k}")
-        if self.k > 9:
+    def __init__(self, word: str, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"alphabet bound k must be >= 1, got {k}")
+        if k > 9:
             raise ValueError("alphabet bound k must be a single digit")
-        ok = set("0123456789"[: self.k + 1])
-        if not set(self.word) <= ok:
-            raise ValueError(f"word {self.word!r} has letters outside 0..{self.k}")
+        ok = set("0123456789"[: k + 1])
+        if not set(word) <= ok:
+            raise ValueError(f"word {word!r} has letters outside 0..{k}")
+        setfield(self, "word", word)
+        setfield(self, "k", k)
+        setfield(self, "_key", (word, k))
 
     @classmethod
     def parse(cls, word: str, k: int | None = None) -> "StepString":
@@ -209,19 +215,20 @@ def lift(tau: StepString, rho: StepString) -> StepString:
     return StepString("".join(out), 2)
 
 
-@dataclass(frozen=True)
-class LiftCertificate:
+class LiftCertificate(Record):
     """A lift together with its two slices; validates the round trip."""
 
-    base: StepString
-    fiber: StepString
-    lifted: StepString
+    __slots__ = ("base", "fiber", "lifted")
 
-    def __post_init__(self) -> None:
-        if project_j(self.lifted, 2) != self.base:
+    def __init__(self, base: StepString, fiber: StepString, lifted: StepString) -> None:
+        if project_j(lifted, 2) != base:
             raise ValueError("lifted string does not project to the base")
-        if substring_uv(self.lifted, 1, 2) != self.fiber:
+        if substring_uv(lifted, 1, 2) != fiber:
             raise ValueError("lifted string does not slice to the fiber")
+        setfield(self, "base", base)
+        setfield(self, "fiber", fiber)
+        setfield(self, "lifted", lifted)
+        setfield(self, "_key", (base, fiber, lifted))
 
 
 def lift_certificate(tau: StepString, rho: StepString) -> LiftCertificate:
@@ -242,7 +249,7 @@ def horn_indices(sigma: StepString) -> tuple[int, ...]:
     ones = project_j(sigma, 2).positions(1)
     via_mu = tuple(ones[m + k - 1] for k, m in enumerate(mu.parts, start=1))
     if direct != via_mu:
-        raise AssertionError(f"index computations disagree: {direct} vs {via_mu}")
+        raise RuntimeError(f"index computations disagree: {direct} vs {via_mu}")
     return direct
 
 

@@ -15,7 +15,10 @@ position-sorting permutation eta of the string.
 A Schubert tangent space is held as its defining equations
 (``tangent_equations``).  Intersecting tangent spaces stacks their
 equations: the intersection dimension is r * (n-r) minus the rank of the
-stack, and a basis is computed only where a vector is needed.
+stack, and a basis is computed only where a vector is needed.  A
+``FlagModel`` inverts its matrix once, on construction, as its
+invertibility check; the equations and ``schubert_position`` read flag
+coordinates from that stored inverse.
 
 Vanishing of a product of Schubert classes is decided numerically by
 intersecting seeded random translates of these tangent models over a big
@@ -30,9 +33,9 @@ probability.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, setfield
 from .exactla import (
     DEFAULT_PRIME,
     Mat,
@@ -40,7 +43,7 @@ from .exactla import (
     Subspace,
     check_prime,
     derive_seed,
-    random_invertible,
+    random_matrix,
     rref,
 )
 from .strings import Partition, StepString
@@ -71,24 +74,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PatternSpace:
+class PatternSpace(Record):
     """A coordinate subspace of a rows x cols matrix grid: a set of free cells.
 
     Cells are 1-based (row, col).  ``kind`` records which Hom factor the grid
     models (purely informational).
     """
 
-    rows: int
-    cols: int
-    free: frozenset[tuple[int, int]]
-    kind: str = "hom(V,Q)"
+    __slots__ = ("rows", "cols", "free", "kind")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "free", frozenset(self.free))
-        for (a, b) in self.free:
-            if not (1 <= a <= self.rows and 1 <= b <= self.cols):
-                raise ValueError(f"cell {(a, b)} outside {self.rows}x{self.cols} grid")
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        free: frozenset[tuple[int, int]],
+        kind: str = "hom(V,Q)",
+    ) -> None:
+        free = frozenset(free)
+        for (a, b) in free:
+            if not (1 <= a <= rows and 1 <= b <= cols):
+                raise ValueError(f"cell {(a, b)} outside {rows}x{cols} grid")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "free", free)
+        setfield(self, "kind", kind)
+        setfield(self, "_key", (rows, cols, free, kind))
 
     @property
     def dim(self) -> int:
@@ -111,18 +121,32 @@ class PatternSpace:
         return Subspace.from_spanning(vectors, ambient, p)
 
 
-@dataclass(frozen=True)
-class FlagModel:
-    """A complete flag on F_p^m: step l is the span of the first l columns."""
+class FlagModel(Record):
+    """A complete flag on F_p^m: step l is the span of the first l columns.
 
-    matrix: Mat
+    The matrix is inverted once, on construction; that is the invertibility
+    check, and the inverse (flag coordinates of the standard basis) is kept
+    for ``tangent_equations`` and ``schubert_position``.  Equality, hash and
+    repr are those of the matrix alone.
+    """
 
-    def __post_init__(self) -> None:
-        m = self.matrix.nrows
-        if self.matrix.ncols != m:
+    __slots__ = ("matrix", "_inverse")
+
+    def __init__(self, matrix: Mat) -> None:
+        if matrix.ncols != matrix.nrows:
             raise ValueError("flag matrix must be square")
-        if m and self.matrix.rank() != m:
-            raise ValueError("flag matrix must be invertible")
+        try:
+            inverse = matrix.inverse()
+        except ValueError:
+            raise ValueError("flag matrix must be invertible") from None
+        setfield(self, "matrix", matrix)
+        setfield(self, "_key", (matrix,))
+        setfield(self, "_inverse", inverse)
+
+    @property
+    def inverse(self) -> Mat:
+        """The inverse matrix: row c gives the c-th flag coordinate."""
+        return self._inverse
 
     @property
     def size(self) -> int:
@@ -144,7 +168,13 @@ class FlagModel:
 
     @classmethod
     def random(cls, m: int, rng: random.Random, p: int = DEFAULT_PRIME) -> "FlagModel":
-        return cls(random_invertible(m, rng, p)) if m else cls(Mat((), p))
+        """Rejection-sample a flag matrix (almost surely the first draw)."""
+        while True:
+            matrix = random_matrix(m, m, rng, p)
+            try:
+                return cls(matrix)
+            except ValueError:  # singular: draw again
+                continue
 
     def vector(self, l: int) -> tuple[int, ...]:
         """The l-th flag vector (1-based)."""
@@ -171,8 +201,7 @@ def eta_word(sigma: StepString) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TwoStepModel:
+class TwoStepModel(Record):
     """Tangent model of a two-step flag position (a 012-string).
 
     The grid has n-d rows (quotient directions, then middle directions) and
@@ -182,12 +211,24 @@ class TwoStepModel:
     column's position (the eta criterion).
     """
 
-    d: int
-    r: int
-    n: int
-    eta: tuple[int, ...]
-    full: PatternSpace
-    blocks: tuple[PatternSpace, PatternSpace, PatternSpace]
+    __slots__ = ("d", "r", "n", "eta", "full", "blocks")
+
+    def __init__(
+        self,
+        d: int,
+        r: int,
+        n: int,
+        eta: tuple[int, ...],
+        full: PatternSpace,
+        blocks: tuple[PatternSpace, PatternSpace, PatternSpace],
+    ) -> None:
+        setfield(self, "d", d)
+        setfield(self, "r", r)
+        setfield(self, "n", n)
+        setfield(self, "eta", eta)
+        setfield(self, "full", full)
+        setfield(self, "blocks", blocks)
+        setfield(self, "_key", (d, r, n, eta, full, blocks))
 
     @property
     def dim(self) -> int:
@@ -250,7 +291,7 @@ def tangent_equations(
     p = f_dst.p
     ambient = cap * r
     rows = []
-    winv = f_dst.matrix.inverse()
+    winv = f_dst.inverse
     for l in range(1, r + 1):
         v = f_src.vector(l)
         for c in range(lam.parts[l - 1] + 1, cap + 1):
@@ -317,17 +358,20 @@ def _common_box(lams: Sequence[Partition]) -> tuple[int, int]:
     return r, cap
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(Record):
     """Outcome of the randomized tangent-intersection test.
 
     expected_dim is the virtual dimension and may be negative; the product
     of the classes is nonzero exactly when some trial achieves it.
     """
 
-    nonzero: bool
-    achieved_dim: int
-    expected_dim: int
+    __slots__ = ("nonzero", "achieved_dim", "expected_dim")
+
+    def __init__(self, nonzero: bool, achieved_dim: int, expected_dim: int) -> None:
+        setfield(self, "nonzero", nonzero)
+        setfield(self, "achieved_dim", achieved_dim)
+        setfield(self, "expected_dim", expected_dim)
+        setfield(self, "_key", (nonzero, achieved_dim, expected_dim))
 
 
 def transversality_verdict(
@@ -363,7 +407,7 @@ def _flag_echelon(v: Subspace, flag: FlagModel) -> tuple[Rows, tuple[int, ...]]:
     """
     if v.ambient_dim != flag.size:
         raise ValueError("subspace and flag live in different ambient spaces")
-    dual = flag.matrix.inverse().data[::-1]
+    dual = flag.inverse.data[::-1]
     coords = [
         tuple(sum(a * x for a, x in zip(drow, vec)) for drow in dual) for vec in v.basis
     ]

@@ -14,15 +14,16 @@ intersection is one nullspace of the stacked tangent equations.
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
 before returning, so a bad draw can only cause a retry or an error —
-never a wrong certificate.
+never a wrong certificate.  Each level's flags are drawn once and keep
+their inverses, which the equations and the kernel positions both read.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._record import Record, setfield
 from .exactla import (
     DEFAULT_PRIME,
     Mat,
@@ -59,19 +60,42 @@ class GenericityExhausted(Exception):
     """Random sampling kept producing inconsistent data; no answer given."""
 
 
-@dataclass(frozen=True)
-class WitnessLevel:
+class WitnessLevel(Record):
     """One level of the descent: the ambient box, the sampled map's rank
     and nullity, the kernel's positions, and the refined strings."""
 
-    r: int
-    n: int
-    lams: tuple[Partition, ...]
-    phi_rank: int
-    phi_nullity: int
-    kernel_positions: tuple[str, ...]
-    lifted_strings: tuple[str, ...]
-    mus: tuple[Partition, ...]
+    __slots__ = (
+        "r",
+        "n",
+        "lams",
+        "phi_rank",
+        "phi_nullity",
+        "kernel_positions",
+        "lifted_strings",
+        "mus",
+    )
+
+    def __init__(
+        self,
+        r: int,
+        n: int,
+        lams: tuple[Partition, ...],
+        phi_rank: int,
+        phi_nullity: int,
+        kernel_positions: tuple[str, ...],
+        lifted_strings: tuple[str, ...],
+        mus: tuple[Partition, ...],
+    ) -> None:
+        setfield(self, "r", r)
+        setfield(self, "n", n)
+        setfield(self, "lams", lams)
+        setfield(self, "phi_rank", phi_rank)
+        setfield(self, "phi_nullity", phi_nullity)
+        setfield(self, "kernel_positions", kernel_positions)
+        setfield(self, "lifted_strings", lifted_strings)
+        setfield(self, "mus", mus)
+        key = (r, n, lams, phi_rank, phi_nullity, kernel_positions, lifted_strings, mus)
+        setfield(self, "_key", key)
 
     @property
     def terminal(self) -> bool:
@@ -90,12 +114,21 @@ class WitnessLevel:
         }
 
 
-@dataclass(frozen=True)
-class WitnessTrace:
-    levels: tuple[WitnessLevel, ...]
-    final: HornInequality
-    final_slack: int
-    certificates: tuple[str, ...]
+class WitnessTrace(Record):
+    __slots__ = ("levels", "final", "final_slack", "certificates")
+
+    def __init__(
+        self,
+        levels: tuple[WitnessLevel, ...],
+        final: HornInequality,
+        final_slack: int,
+        certificates: tuple[str, ...],
+    ) -> None:
+        setfield(self, "levels", levels)
+        setfield(self, "final", final)
+        setfield(self, "final_slack", final_slack)
+        setfield(self, "certificates", certificates)
+        setfield(self, "_key", (levels, final, final_slack, certificates))
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,21 +198,50 @@ def _words(value: object) -> tuple[str, ...]:
     return words
 
 
-@dataclass(frozen=True)
-class _LevelData:
+class _LevelData(Record):
     """Internal per-level record, including the geometry (for tests)."""
 
-    lams: tuple[Partition, ...]
-    r: int
-    cap: int
-    flag_pairs: tuple[tuple[FlagModel, FlagModel], ...]
-    meet: Subspace
-    kernel: Subspace
-    rho: tuple[StepString, ...]
-    lifted: tuple[StepString, ...]
-    mus: tuple[Partition, ...]
-    rank: int
-    nullity: int
+    __slots__ = (
+        "lams",
+        "r",
+        "cap",
+        "flag_pairs",
+        "meet",
+        "kernel",
+        "rho",
+        "lifted",
+        "mus",
+        "rank",
+        "nullity",
+    )
+
+    def __init__(
+        self,
+        lams: tuple[Partition, ...],
+        r: int,
+        cap: int,
+        flag_pairs: tuple[tuple[FlagModel, FlagModel], ...],
+        meet: Subspace,
+        kernel: Subspace,
+        rho: tuple[StepString, ...],
+        lifted: tuple[StepString, ...],
+        mus: tuple[Partition, ...],
+        rank: int,
+        nullity: int,
+    ) -> None:
+        setfield(self, "lams", lams)
+        setfield(self, "r", r)
+        setfield(self, "cap", cap)
+        setfield(self, "flag_pairs", flag_pairs)
+        setfield(self, "meet", meet)
+        setfield(self, "kernel", kernel)
+        setfield(self, "rho", rho)
+        setfield(self, "lifted", lifted)
+        setfield(self, "mus", mus)
+        setfield(self, "rank", rank)
+        setfield(self, "nullity", nullity)
+        key = (lams, r, cap, flag_pairs, meet, kernel, rho, lifted, mus, rank, nullity)
+        setfield(self, "_key", key)
 
 
 def _unvec(vec: Sequence[int], rows: int, cols: int, p: int) -> Mat:

@@ -206,6 +206,24 @@ def test_import_leaves_openssl_hash_module_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S: no site-packages .pth hook runs, so only hornkit's own imports count
+    code = (
+        "import sys, hornkit, hornkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_check_prime_names_the_composite():
     check_prime(2)
     check_prime(DEFAULT_PRIME)

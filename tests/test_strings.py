@@ -154,7 +154,7 @@ def test_horn_indices_agree_everywhere(data):
     n = data.draw(st.integers(1, 9))
     word = "".join(data.draw(st.sampled_from("012")) for _ in range(n))
     sigma = StepString(word, 2)
-    # horn_indices raises AssertionError if its two computations disagree
+    # horn_indices raises RuntimeError if its two computations disagree
     assert horn_indices(sigma) == sigma.positions(2)
 
 

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornkit import tangent
-from hornkit.exactla import DEFAULT_PRIME, Mat, Subspace, derive_seed, intersect
+from hornkit.exactla import (
+    DEFAULT_PRIME,
+    Mat,
+    Subspace,
+    derive_seed,
+    intersect,
+    random_invertible,
+)
 from hornkit.strings import (
     Partition,
     StepString,
@@ -166,6 +173,17 @@ def test_X_flag_size_mismatch():
         X_from_flags(
             Partition((0, 1), 2), FlagModel.standard(3, P), FlagModel.standard(2, P)
         )
+
+
+def test_random_flag_draws_as_random_invertible():
+    # the inverse check rejection-samples with the same draws as the rank
+    # check did; p = 2 makes singular draws common
+    for p in (2, 3, DEFAULT_PRIME):
+        for m in range(5):
+            for seed in range(20):
+                flag = FlagModel.random(m, random.Random(seed), p)
+                assert flag.matrix == random_invertible(m, random.Random(seed), p)
+                assert flag.matrix.mul(flag.inverse) == Mat.identity(m, p)
 
 
 def test_X_raises_on_flags_over_different_fields():

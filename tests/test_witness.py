@@ -1,6 +1,6 @@
 """Kernel-descent witness search and independent certificate verification."""
 
-import dataclasses
+import inspect
 import itertools
 import json
 import pathlib
@@ -27,6 +27,12 @@ SMALL_PAIR = (Partition((0, 2), 2), Partition((1, 1), 2))
 MID_PAIR = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
 BIG_PAIR = (Partition((0, 2, 3, 3, 3, 4), 4), Partition((1, 1, 3, 3, 3, 3), 4))
 
+
+def _replace(obj, **changes):
+    """Rebuild a record through its constructor with some fields changed."""
+    names = inspect.signature(type(obj)).parameters
+    assert set(changes) <= set(names), set(changes) - set(names)
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
 
 # --- end-to-end fixtures -----------------------------------------------------------
 
@@ -163,34 +169,34 @@ def test_verify_rejects_wrong_classes():
 
 def test_verify_rejects_perturbed_slack():
     trace = _mid_trace()
-    assert not verify_witness(dataclasses.replace(trace, final_slack=-2), MID_PAIR)
-    assert not verify_witness(dataclasses.replace(trace, final_slack=0), MID_PAIR)
+    assert not verify_witness(_replace(trace, final_slack=-2), MID_PAIR)
+    assert not verify_witness(_replace(trace, final_slack=0), MID_PAIR)
 
 
 def test_verify_rejects_perturbed_certificate():
     trace = _mid_trace()
-    bad = dataclasses.replace(trace, certificates=("220", "202"))
+    bad = _replace(trace, certificates=("220", "202"))
     assert not verify_witness(bad, MID_PAIR)
-    assert not verify_witness(dataclasses.replace(trace, certificates=("202",)), MID_PAIR)
+    assert not verify_witness(_replace(trace, certificates=("202",)), MID_PAIR)
 
 
 def test_verify_rejects_truncated_levels():
     trace = _mid_trace()
-    assert not verify_witness(dataclasses.replace(trace, levels=trace.levels[:1]), MID_PAIR)
-    assert not verify_witness(dataclasses.replace(trace, levels=trace.levels[1:]), MID_PAIR)
-    assert not verify_witness(dataclasses.replace(trace, levels=()), MID_PAIR)
+    assert not verify_witness(_replace(trace, levels=trace.levels[:1]), MID_PAIR)
+    assert not verify_witness(_replace(trace, levels=trace.levels[1:]), MID_PAIR)
+    assert not verify_witness(_replace(trace, levels=()), MID_PAIR)
 
 
 def test_verify_rejects_tampered_level_strings():
     trace = _mid_trace()
     good = trace.levels[0]
-    bad_rho = dataclasses.replace(good, kernel_positions=("110", "101"))
+    bad_rho = _replace(good, kernel_positions=("110", "101"))
     assert not verify_witness(
-        dataclasses.replace(trace, levels=(bad_rho, trace.levels[1])), MID_PAIR
+        _replace(trace, levels=(bad_rho, trace.levels[1])), MID_PAIR
     )
-    bad_lift = dataclasses.replace(good, lifted_strings=("2001200", "0200120"))
+    bad_lift = _replace(good, lifted_strings=("2001200", "0200120"))
     assert not verify_witness(
-        dataclasses.replace(trace, levels=(bad_lift, trace.levels[1])), MID_PAIR
+        _replace(trace, levels=(bad_lift, trace.levels[1])), MID_PAIR
     )
 
 
@@ -202,7 +208,7 @@ def test_verify_rejects_violated_but_non_horn_inequality():
     mus = (Partition((0, 0), 1), Partition((0, 0), 1))
     fake = HornInequality(2, mus, ((1, 2), (1, 2)), 8)
     assert not lr_oracle(mus, 2, 3)
-    bad = dataclasses.replace(
+    bad = _replace(
         trace, final=fake, final_slack=-1, certificates=("220", "220")
     )
     assert not verify_witness(bad, MID_PAIR)
@@ -210,15 +216,15 @@ def test_verify_rejects_violated_but_non_horn_inequality():
 
 def test_verify_rejects_inconsistent_rank():
     trace = _mid_trace()
-    bad = dataclasses.replace(trace.levels[0], phi_rank=2)
+    bad = _replace(trace.levels[0], phi_rank=2)
     assert not verify_witness(
-        dataclasses.replace(trace, levels=(bad, trace.levels[1])), MID_PAIR
+        _replace(trace, levels=(bad, trace.levels[1])), MID_PAIR
     )
 
 
 def test_verify_rejects_non_string_certificate():
     trace = _mid_trace()
-    bad = dataclasses.replace(trace, certificates=(7, "202"))
+    bad = _replace(trace, certificates=(7, "202"))
     assert not verify_witness(bad, MID_PAIR)
 
 
