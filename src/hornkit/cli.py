@@ -31,7 +31,7 @@ import sys
 from typing import Sequence
 
 from ._record import Record, setfield
-from .exactla import DEFAULT_PRIME, is_prime
+from .exactla import DEFAULT_PRIME, check_prime
 from .horn import enumerate_horn, horn_verdict, lr_oracle
 from .strings import Partition, StepString, parse_partition, string_to_partition
 from .tangent import (
@@ -73,8 +73,10 @@ class RunConfig(Record):
         trials: int = 3,
         fmt: str = "json",
     ) -> None:
-        if not is_prime(prime):
-            raise CLIError(f"--prime {prime} is not a prime number")
+        try:
+            check_prime(prime)
+        except ValueError as exc:
+            raise CLIError(f"--prime: {exc}") from None
         if trials < 1:
             raise CLIError("--trials must be at least 1")
         if fmt not in ("json", "text", "diagram"):

@@ -65,7 +65,12 @@ def is_prime(m: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    """Raise ValueError unless p is prime: F_p must be a field."""
+    """Raise ValueError unless p is prime: F_p must be a field.  Beyond 64
+    bits is_prime is not exact, so p must also lie below 2**64."""
+    if p >= 1 << 64:
+        raise ValueError(
+            f"p = {p} is not below 2**64, where is_prime stops being exact"
+        )
     if not is_prime(p):
         raise ValueError(f"p = {p} is not a prime number")
 

@@ -98,9 +98,33 @@ class HornInequality(Record):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HornInequality":
-        mus = tuple(Partition(tuple(parts), data["cap"]) for parts in data["mus"])
-        indices = tuple(tuple(idx) for idx in data["indices"])
-        return cls(data["d"], mus, indices, data["rhs"])
+        """Parse ``to_json_dict`` output; ValueError on any malformed field."""
+        try:
+            cap = _int(data["cap"])
+            return cls(
+                _int(data["d"]),
+                tuple(Partition(_ints(x), cap) for x in _items(data["mus"])),
+                tuple(_ints(x) for x in _items(data["indices"])),
+                _int(data["rhs"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed Horn inequality: {exc!r}") from None
+
+
+def _items(value: object) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(value: object) -> tuple[int, ...]:
+    return tuple(_int(x) for x in _items(value))
 
 
 class Violation(Record):

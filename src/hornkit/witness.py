@@ -6,10 +6,11 @@ into its kernel: the kernel's Schubert positions against the source flags
 refine each class string to a two-step string whose inner block hands the
 problem to a strictly smaller Grassmannian with the same cap.  The
 descent ends when the intersection is {0}, where the pure dimension count
-is violated; composing the per-level kernel positions back up turns that
-terminal inequality into a violated Horn inequality for the original
-classes, certified by explicit index-tracking strings.  Each level's
-intersection is one nullspace of the stacked tangent equations.
+is violated.  The descent is one walk down: carrying each class's
+positions through the kernels to the terminal level gives the index sets
+of a violated Horn inequality for the original classes, certified by
+explicit index-tracking strings.  Each level's intersection is one
+nullspace of the stacked tangent equations.
 
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
@@ -21,7 +22,7 @@ their inverses, which the equations and the kernel positions both read.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ._record import Record, setfield
 from .exactla import (
@@ -31,7 +32,7 @@ from .exactla import (
     check_prime,
     derive_seed,
 )
-from .horn import HornInequality, evaluate, horn_verdict, lr_oracle
+from .horn import HornInequality, _int, _ints, _items, evaluate, horn_verdict, lr_oracle
 from .strings import (
     Partition,
     StepString,
@@ -50,6 +51,8 @@ __all__ = [
     "find_witness",
     "verify_witness",
 ]
+
+MAX_RETRIES = 8  # fresh draws per level before GenericityExhausted
 
 
 class NonVanishingProduct(Exception):
@@ -157,17 +160,9 @@ class WitnessTrace(Record):
                         tuple(Partition(_ints(x), n - r) for x in _items(rec["mus"])),
                     )
                 )
-            final = data["final"]
-            inner_cap = _int(final["cap"])
-            ineq = HornInequality(
-                _int(final["d"]),
-                tuple(Partition(_ints(x), inner_cap) for x in _items(final["mus"])),
-                tuple(_ints(x) for x in _items(final["indices"])),
-                _int(final["rhs"]),
-            )
             return cls(
                 tuple(levels),
-                ineq,
+                HornInequality.from_json_dict(data["final"]),
                 _int(data["slack"]),
                 _words(data["certificates"]),
             )
@@ -175,73 +170,11 @@ class WitnessTrace(Record):
             raise ValueError(f"malformed witness trace: {exc!r}") from None
 
 
-def _items(value: object) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a list, got {value!r}")
-    return tuple(value)
-
-
-def _int(value: object) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _ints(value: object) -> tuple[int, ...]:
-    return tuple(_int(x) for x in _items(value))
-
-
 def _words(value: object) -> tuple[str, ...]:
     words = _items(value)
     if not all(isinstance(w, str) for w in words):
         raise ValueError(f"expected a list of strings, got {value!r}")
     return words
-
-
-class _LevelData(Record):
-    """Internal per-level record, including the geometry (for tests)."""
-
-    __slots__ = (
-        "lams",
-        "r",
-        "cap",
-        "flag_pairs",
-        "meet",
-        "kernel",
-        "rho",
-        "lifted",
-        "mus",
-        "rank",
-        "nullity",
-    )
-
-    def __init__(
-        self,
-        lams: tuple[Partition, ...],
-        r: int,
-        cap: int,
-        flag_pairs: tuple[tuple[FlagModel, FlagModel], ...],
-        meet: Subspace,
-        kernel: Subspace,
-        rho: tuple[StepString, ...],
-        lifted: tuple[StepString, ...],
-        mus: tuple[Partition, ...],
-        rank: int,
-        nullity: int,
-    ) -> None:
-        setfield(self, "lams", lams)
-        setfield(self, "r", r)
-        setfield(self, "cap", cap)
-        setfield(self, "flag_pairs", flag_pairs)
-        setfield(self, "meet", meet)
-        setfield(self, "kernel", kernel)
-        setfield(self, "rho", rho)
-        setfield(self, "lifted", lifted)
-        setfield(self, "mus", mus)
-        setfield(self, "rank", rank)
-        setfield(self, "nullity", nullity)
-        key = (lams, r, cap, flag_pairs, meet, kernel, rho, lifted, mus, rank, nullity)
-        setfield(self, "_key", key)
 
 
 def _unvec(vec: Sequence[int], rows: int, cols: int, p: int) -> Mat:
@@ -258,110 +191,75 @@ def _sample_nonzero(space: Subspace, rng: random.Random) -> tuple[int, ...]:
     raise GenericityExhausted("could not sample a nonzero intersection element")
 
 
-def _descend(
-    lams: tuple[Partition, ...],
-    r: int,
-    cap: int,
-    level_no: int,
-    seed: int,
-    p: int,
-    max_retries: int,
-) -> list[_LevelData]:
+def _levels(
+    lams: tuple[Partition, ...], r: int, cap: int, seed: int, p: int
+) -> Iterator[tuple[WitnessLevel, tuple, Subspace, Subspace]]:
+    """Walk the descent down, one level at a time, and stop after the
+    terminal level.  Each level yields its record together with the
+    geometry behind it: the flag pairs, the tangent intersection, and the
+    sampled map's kernel."""
     s = len(lams)
-    taus = [partition_to_string(lam) for lam in lams]
-    last_error = "inconsistent kernel positions"
-    for attempt in range(max_retries):
-        sub = derive_seed(seed, "witness-level", level_no, attempt)
-        flag_pairs = tuple(
-            (
-                FlagModel.random(r, random.Random(derive_seed(sub, i, "src")), p),
-                FlagModel.random(cap, random.Random(derive_seed(sub, i, "dst")), p),
-            )
-            for i in range(s)
-        )
-        equations = tangents_with_flags(lams, flag_pairs)
-        meet = Subspace.from_equations(
-            [row for rows in equations for row in rows], r * cap, p
-        )
-        if meet.dim == 0:
-            # phi = 0: the kernel is the whole level space and the level's
-            # dimensional inequality is the violated one.
-            ones = StepString("1" * r, 1)
-            lifted = tuple(lift(tau, ones) for tau in taus)
-            return [
-                _LevelData(
-                    lams,
-                    r,
-                    cap,
-                    flag_pairs,
-                    meet,
-                    Subspace.full(r, p),
-                    (ones,) * s,
-                    lifted,
-                    lams,
-                    rank=0,
-                    nullity=r,
+    level_no = 1
+    while True:
+        for attempt in range(MAX_RETRIES):
+            sub = derive_seed(seed, "witness-level", level_no, attempt)
+            flag_pairs = tuple(
+                (
+                    FlagModel.random(r, random.Random(derive_seed(sub, i, "src")), p),
+                    FlagModel.random(cap, random.Random(derive_seed(sub, i, "dst")), p),
                 )
-            ]
-        rng = random.Random(derive_seed(sub, "phi"))
-        kernels = []
-        for _ in range(2):
-            phi = _sample_nonzero(meet, rng)
-            kernels.append(_unvec(phi, cap, r, p).nullspace())
-        if kernels[0].dim != kernels[1].dim:
-            last_error = "kernel dimension differed between samples"
-            continue
-        nullity = kernels[0].dim
-        if nullity == 0:
-            last_error = "sampled map had zero kernel"
-            continue
-        positions = [
-            tuple(schubert_position(k, fp[0]) for fp in flag_pairs) for k in kernels
-        ]
-        if positions[0] != positions[1]:
-            last_error = "kernel positions differed between samples"
-            continue
-        rho = positions[0]
-        lifted = tuple(lift(tau, rh) for tau, rh in zip(taus, rho))
-        mus = tuple(
-            string_to_partition(substring_uv(sig, 0, 2)) for sig in lifted
-        )
-        level = _LevelData(
-            lams,
-            r,
-            cap,
-            flag_pairs,
-            meet,
-            kernels[0],
-            rho,
-            lifted,
-            mus,
-            rank=r - nullity,
-            nullity=nullity,
-        )
-        return [level] + _descend(
-            mus, nullity, cap, level_no + 1, seed, p, max_retries
-        )
-    raise GenericityExhausted(
-        f"level {level_no}: {last_error} after {max_retries} attempts"
-    )
-
-
-def _compose_certificates(levels: Sequence[_LevelData]) -> tuple[StepString, ...]:
-    """Push the terminal level's full index set back up through the kernels:
-    at each level the inner certificate's '2's select which kernel
-    directions keep carrying the final inequality."""
-    s = len(levels[0].lams)
-    terminal = levels[-1]
-    ones = StepString("1" * terminal.r, 1)
-    certs = [lift(ones, ones) for _ in range(s)]
-    for level in reversed(levels[:-1]):
-        for i in range(s):
-            marker = StepString(
-                "".join("1" if ch == "2" else "0" for ch in certs[i].word), 1
+                for i in range(s)
             )
-            certs[i] = lift(level.rho[i], marker)
-    return tuple(certs)
+            equations = tangents_with_flags(lams, flag_pairs)
+            meet = Subspace.from_equations(
+                [row for rows in equations for row in rows], r * cap, p
+            )
+            if meet.dim == 0:
+                # phi = 0: the kernel is the whole level space and the level's
+                # dimensional inequality is the violated one.
+                kernel = Subspace.full(r, p)
+                rho = (StepString("1" * r, 1),) * s
+                break
+            rng = random.Random(derive_seed(sub, "phi"))
+            kernels = []
+            for _ in range(2):
+                phi = _sample_nonzero(meet, rng)
+                kernels.append(_unvec(phi, cap, r, p).nullspace())
+            if kernels[0].dim != kernels[1].dim:
+                last_error = "kernel dimension differed between samples"
+                continue
+            if kernels[0].dim == 0:
+                last_error = "sampled map had zero kernel"
+                continue
+            positions = [
+                tuple(schubert_position(k, fp[0]) for fp in flag_pairs) for k in kernels
+            ]
+            if positions[0] != positions[1]:
+                last_error = "kernel positions differed between samples"
+                continue
+            kernel, rho = kernels[0], positions[0]
+            break
+        else:
+            raise GenericityExhausted(
+                f"level {level_no}: {last_error} after {MAX_RETRIES} attempts"
+            )
+        lifted = tuple(lift(partition_to_string(lam), rh) for lam, rh in zip(lams, rho))
+        mus = tuple(string_to_partition(substring_uv(sig, 0, 2)) for sig in lifted)
+        nullity = kernel.dim
+        level = WitnessLevel(
+            r,
+            r + cap,
+            lams,
+            r - nullity,
+            nullity,
+            tuple(str(rh) for rh in rho),
+            tuple(str(sig) for sig in lifted),
+            mus,
+        )
+        yield level, flag_pairs, meet, kernel
+        if level.terminal:
+            return
+        lams, r, level_no = mus, nullity, level_no + 1
 
 
 def find_witness(
@@ -370,7 +268,6 @@ def find_witness(
     n: int,
     seed: int = 0,
     p: int = DEFAULT_PRIME,
-    max_retries: int = 8,
 ) -> WitnessTrace:
     """Produce a certified violated Horn inequality for a vanishing product.
 
@@ -388,36 +285,33 @@ def find_witness(
     if horn_verdict(lams, r, n).nonzero:
         raise NonVanishingProduct(f"the product of {len(lams)} classes is nonzero")
 
-    levels = _descend(lams, r, cap, 1, seed, p, max_retries)
-    certs = _compose_certificates(levels)
+    # Each class's top-level positions that survive every kernel are the
+    # final index set; its certificate marks them '2' inside the first kernel.
+    levels = []
+    indices = [tuple(range(1, r + 1))] * len(lams)
+    for level, *_ in _levels(lams, r, cap, seed, p):
+        levels.append(level)
+        indices = [
+            tuple(c for c, ch in zip(kept, rho) if ch == "1")
+            for kept, rho in zip(indices, level.kernel_positions)
+        ]
+    certs = tuple(
+        "".join("2" if c in kept else ch for c, ch in enumerate(rho, start=1))
+        for kept, rho in zip(indices, levels[0].kernel_positions)
+    )
     d = levels[-1].r
-    s = len(lams)
-    indices = tuple(cert.positions(2) for cert in certs)
     mus = tuple(
         Partition(tuple(pos - k for k, pos in enumerate(idx, start=1)), r - d)
         for idx in indices
     )
-    final = HornInequality(d, mus, indices, (s - 1) * d * cap)
+    final = HornInequality(d, mus, tuple(indices), (len(lams) - 1) * d * cap)
     slack = evaluate(final, lams)
     if slack >= 0:
         raise GenericityExhausted(
             "descent produced a non-violated inequality; the sampled data "
             "cannot have been generic"
         )
-    public_levels = tuple(
-        WitnessLevel(
-            level.r,
-            level.r + level.cap,
-            level.lams,
-            level.rank,
-            level.nullity,
-            tuple(str(rh) for rh in level.rho),
-            tuple(str(sig) for sig in level.lifted),
-            level.mus,
-        )
-        for level in levels
-    )
-    return WitnessTrace(public_levels, final, slack, tuple(c.word for c in certs))
+    return WitnessTrace(tuple(levels), final, slack, certs)
 
 
 def verify_witness(trace: WitnessTrace, lams: Sequence[Partition]) -> bool:
@@ -481,5 +375,5 @@ def verify_witness(trace: WitnessTrace, lams: Sequence[Partition]) -> bool:
         # ...and genuinely a Horn inequality: its mu-product is nonzero, by
         # the LR oracle, which shares no code with the search.
         return lr_oracle(final.mus, d, r)
-    except (ValueError, KeyError, IndexError, TypeError):
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return False

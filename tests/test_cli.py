@@ -78,6 +78,13 @@ def test_bad_config_exits_two(capsys):
     assert code == 2 and "trials" in err
 
 
+def test_prime_beyond_64_bits_exits_two(capsys):
+    # a strong pseudoprime to every base 2..37: is_prime alone would accept it
+    code, _, err = run(capsys, ["check", MID, "--prime", "318665857834031151167461"])
+    assert code == 2 and "2**64" in err
+    assert cli.RunConfig(prime=2**64 - 59).prime == 2**64 - 59
+
+
 # --- check --------------------------------------------------------------------
 
 

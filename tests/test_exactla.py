@@ -230,3 +230,16 @@ def test_check_prime_names_the_composite():
     for bad in (0, 1, 4, 91, 561):
         with pytest.raises(ValueError, match=f"p = {bad} "):
             check_prime(bad)
+
+
+# The smallest strong pseudoprime to every base 2..37 (399165290221 *
+# 798330580441): is_prime's fixed bases call it prime, so p must stay below 2**64.
+PSEUDOPRIME_2_TO_37 = 318665857834031151167461
+
+
+def test_check_prime_refuses_beyond_64_bits():
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        check_prime(PSEUDOPRIME_2_TO_37)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        check_prime(2**64)
+    check_prime(2**64 - 59)  # the largest 64-bit prime

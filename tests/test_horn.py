@@ -52,6 +52,25 @@ def test_inequality_json_round_trip():
     assert HornInequality.from_json_dict(ineq.to_json_dict()) == ineq
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.__setitem__("cap", "2"),
+        lambda doc: doc.__delitem__("rhs"),
+        lambda doc: doc.__setitem__("mus", 5),
+        lambda doc: doc.__setitem__("d", True),
+        lambda doc: doc.__setitem__("rhs", 2.0),
+    ],
+    ids=["string-cap", "missing-rhs", "int-mus", "bool-d", "float-rhs"],
+)
+def test_inequality_from_json_dict_rejects_malformed_fields(mutate):
+    mus = (Partition((0,), 1), Partition((1,), 1))
+    doc = HornInequality(1, mus, ((1,), (2,)), 2).to_json_dict()
+    mutate(doc)
+    with pytest.raises(ValueError):
+        HornInequality.from_json_dict(doc)
+
+
 def test_verdict_requires_violation_when_zero():
     with pytest.raises(ValueError):
         Verdict(False, "horn-recursion")

@@ -24,7 +24,7 @@ from hornkit.tangent import (
     TwoStepModel,
     hat_Y,
 )
-from hornkit.witness import WitnessLevel, WitnessTrace, _descend, _LevelData, find_witness
+from hornkit.witness import WitnessLevel, WitnessTrace, find_witness
 
 PAIR = (Partition((0, 2), 2), Partition((1, 1), 2))
 
@@ -64,8 +64,6 @@ def _build(cls):
         return find_witness(PAIR, 2, 4, seed=0).levels[0]
     if cls is WitnessTrace:
         return find_witness(PAIR, 2, 4, seed=0)
-    if cls is _LevelData:
-        return _descend(PAIR, 2, 2, 1, 0, DEFAULT_PRIME, 8)[0]
     if cls is RunConfig:
         return RunConfig(trials=5)
     raise AssertionError(cls)
@@ -86,7 +84,6 @@ RECORDS = (
     Verdict,
     WitnessLevel,
     WitnessTrace,
-    _LevelData,
     RunConfig,
 )
 

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import hornkit.witness as witness
 from hornkit.exactla import DEFAULT_PRIME, Subspace, intersect
 from hornkit.horn import HornInequality, lr_oracle
-from hornkit.strings import Partition, all_partitions, string_to_partition
+from hornkit.strings import (
+    Partition,
+    StepString,
+    all_partitions,
+    lift,
+    string_to_partition,
+)
 from hornkit.tangent import X_from_flags, induced_flag, quotient_pattern, schubert_position
 from hornkit.witness import (
     GenericityExhausted,
@@ -114,6 +120,34 @@ def test_point_pair_terminates_immediately():
     assert trace.final.rhs == 12
     assert trace.final_slack == -12
     assert verify_witness(trace, lams)
+
+
+def _composed_certificates(trace):
+    """Reference for the certificate rule: push the terminal level's full
+    index set back up through the kernel positions with ``lift``; at each
+    level the inner certificate's '2's select the kernel directions that
+    keep carrying the final inequality."""
+    ones = StepString("1" * trace.levels[-1].r, 1)
+    certs = [lift(ones, ones)] * len(trace.levels[0].lams)
+    for level in reversed(trace.levels[:-1]):
+        certs = [
+            lift(
+                StepString(rho, 1),
+                StepString("".join("1" if ch == "2" else "0" for ch in cert.word), 1),
+            )
+            for cert, rho in zip(certs, level.kernel_positions)
+        ]
+    return tuple(cert.word for cert in certs)
+
+
+@pytest.mark.parametrize(
+    "lams,r,n",
+    [(SMALL_PAIR, 2, 4), (MID_PAIR, 3, 7), (BIG_PAIR, 6, 10)],
+    ids=["small", "mid", "big"],
+)
+def test_certificates_match_bottom_up_composition(lams, r, n):
+    trace = find_witness(lams, r, n, seed=0)
+    assert trace.certificates == _composed_certificates(trace)
 
 
 def test_determinism():
@@ -228,6 +262,13 @@ def test_verify_rejects_non_string_certificate():
     assert not verify_witness(bad, MID_PAIR)
 
 
+def test_verify_rejects_malformed_trace_objects():
+    trace = _mid_trace()
+    assert not verify_witness(_replace(trace, final=None), MID_PAIR)
+    assert not verify_witness(_replace(trace, levels=(None, trace.levels[1])), MID_PAIR)
+    assert not verify_witness(None, MID_PAIR)
+
+
 # --- malformed serialized traces ---------------------------------------------------
 
 GOLDEN_GR37 = pathlib.Path(__file__).parent / "golden" / "witness_gr37.json"
@@ -331,6 +372,7 @@ def test_every_vanishing_product_gets_verified_witness():
         for lams in _zero_tuples(r, n, s):
             trace = find_witness(lams, r, n, seed=0)
             assert verify_witness(trace, lams), lams
+            assert trace.certificates == _composed_certificates(trace), lams
             rs = [lvl.r for lvl in trace.levels]
             assert rs[0] == r and all(a > b for a, b in zip(rs, rs[1:]))
             assert len(rs) <= r
@@ -343,7 +385,7 @@ def test_every_vanishing_product_gets_verified_witness():
 
 
 def _descend_levels(lams, r, n, seed=0):
-    return witness._descend(tuple(lams), r, n - r, 1, seed, DEFAULT_PRIME, 8)
+    return list(witness._levels(tuple(lams), r, n - r, seed, DEFAULT_PRIME))
 
 
 @pytest.mark.parametrize(
@@ -355,32 +397,30 @@ def test_descent_blocks_are_transverse(lams, r, n):
     """At every non-terminal level the two residual block intersections are
     transverse: the kernel's own cell tangents inside hom(S, V/S), and the
     quotient cell tangents inside hom(V/S, Q)."""
-    s = len(lams)
+    s, cap = len(lams), n - r
     checked = 0
-    for level in _descend_levels(lams, r, n):
-        if level.nullity == level.r:
+    for level, flag_pairs, _, kernel in _descend_levels(lams, r, n):
+        if level.terminal:
             continue
-        d, rr, cap = level.nullity, level.r, level.cap
-        induced = [induced_flag(fp[0], level.kernel) for fp in level.flag_pairs]
+        d, rr = level.phi_nullity, level.r
+        rhos = [StepString(word, 1) for word in level.kernel_positions]
+        induced = [induced_flag(fp[0], kernel) for fp in flag_pairs]
 
         inner = [
             X_from_flags(string_to_partition(rho), f_sub, f_quot)
-            for rho, (f_sub, f_quot) in zip(level.rho, induced)
+            for rho, (f_sub, f_quot) in zip(rhos, induced)
         ]
-        expected_inner = sum(string_to_partition(rho).weight for rho in level.rho) - (
+        expected_inner = sum(string_to_partition(rho).weight for rho in rhos) - (
             s - 1
         ) * d * (rr - d)
         assert intersect(inner).dim == expected_inner
 
         outer = [
             X_from_flags(quotient_pattern(lam, rho), f_quot, fp[1])
-            for lam, rho, (_, f_quot), fp in zip(
-                level.lams, level.rho, induced, level.flag_pairs
-            )
+            for lam, rho, (_, f_quot), fp in zip(level.lams, rhos, induced, flag_pairs)
         ]
         expected_outer = sum(
-            quotient_pattern(lam, rho).weight
-            for lam, rho in zip(level.lams, level.rho)
+            quotient_pattern(lam, rho).weight for lam, rho in zip(level.lams, rhos)
         ) - (s - 1) * (rr - d) * cap
         assert intersect(outer).dim == expected_outer
         checked += 1
@@ -390,23 +430,22 @@ def test_descent_blocks_are_transverse(lams, r, n):
 def test_kernel_position_stability():
     """Independent re-samples of phi from the level's intersection give the
     same kernel positions: the operational meaning of a generic sample."""
-    for level in _descend_levels(MID_PAIR, 3, 7):
-        if level.nullity == level.r:
+    for level, flag_pairs, meet, _ in _descend_levels(MID_PAIR, 3, 7):
+        if level.terminal:
             continue
         rng = random.Random(987654321)
         for _ in range(3):
-            phi = witness._sample_nonzero(level.meet, rng)
-            kernel = witness._unvec(phi, level.cap, level.r, DEFAULT_PRIME).nullspace()
-            assert kernel.dim == level.nullity
-            positions = tuple(
-                schubert_position(kernel, fp[0]) for fp in level.flag_pairs
-            )
-            assert positions == level.rho
+            phi = witness._sample_nonzero(meet, rng)
+            cap = level.n - level.r
+            kernel = witness._unvec(phi, cap, level.r, DEFAULT_PRIME).nullspace()
+            assert kernel.dim == level.phi_nullity
+            positions = tuple(schubert_position(kernel, fp[0]) for fp in flag_pairs)
+            assert tuple(map(str, positions)) == level.kernel_positions
 
 
 def test_kernel_lies_in_every_sampled_map():
-    for level in _descend_levels(BIG_PAIR, 6, 10):
-        for lam, fp in zip(level.lams, level.flag_pairs):
+    for level, flag_pairs, meet, _ in _descend_levels(BIG_PAIR, 6, 10):
+        for lam, fp in zip(level.lams, flag_pairs):
             tangent = X_from_flags(lam, *fp)
-            for row in level.meet.basis:
+            for row in meet.basis:
                 assert tangent.contains(row)
