@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME, check_prime

@@ -16,7 +16,7 @@ never share a stream.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 # The same object as hashlib.blake2b, without loading OpenSSL's _hashlib.
 from _blake2 import blake2b
@@ -39,7 +39,10 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit integers."""
+    """Deterministic Miller-Rabin, exact for all 64-bit integers; raises
+    ValueError for m >= 2**64, where its fixed bases are no proof."""
+    if m >= 1 << 64:
+        raise ValueError(f"{m} is not below 2**64, where is_prime stops being exact")
     if m < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -67,11 +70,13 @@ def is_prime(m: int) -> bool:
 def check_prime(p: int) -> None:
     """Raise ValueError unless p is prime: F_p must be a field.  Beyond 64
     bits is_prime is not exact, so p must also lie below 2**64."""
-    if p >= 1 << 64:
+    try:
+        prime = is_prime(p)
+    except ValueError:
         raise ValueError(
             f"p = {p} is not below 2**64, where is_prime stops being exact"
-        )
-    if not is_prime(p):
+        ) from None
+    if not prime:
         raise ValueError(f"p = {p} is not a prime number")
 
 

@@ -24,10 +24,11 @@ the partial left-hand side, plus the least the remaining factors can add
 while still passing the dimension count, reaches the right-hand side.
 Certificates are memoized for the duration of one call.
 
-The LR oracle decides the same question by brute force: expand the
-product of the complementary Schur polynomials inside the r x (n-r) box
-by the Littlewood-Richardson rule and ask whether anything survives.  It
-shares no code with the recursion and serves as ground truth in tests.
+The LR oracle decides the same question from the classical side: expand
+the product of all but the last complementary Schur polynomial inside the
+r x (n-r) box by the Littlewood-Richardson rule, and ask whether any
+survivor pairs nonzero with the last one by Poincare duality.  It shares
+no code with the recursion and serves as ground truth in tests.
 
 Inequalities, violations and verdicts are immutable value records
 (``hornkit._record``) with a ``to_json_dict`` form.
@@ -35,10 +36,11 @@ Inequalities, violations and verdicts are immutable value records
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME
@@ -172,13 +174,9 @@ def _check_box(lams: Sequence[Partition], r: int, n: int) -> None:
             raise ValueError(f"{lam} does not lie in Lambda({r}, {n - r})")
 
 
-class _Row(NamedTuple):
-    """One mu in Lambda(d, r-d): its parts, its weight, and its 0-based
-    index set {mu_k + k - 1}."""
-
-    parts: tuple[int, ...]
-    weight: int
-    index: tuple[int, ...]
+# One mu in Lambda(d, r-d): its parts, its weight, and its 0-based index
+# set {mu_k + k - 1}.
+_Row = collections.namedtuple("_Row", ("parts", "weight", "index"))
 
 
 # The recursion on Gr(r, n) reads the tables of every (d, r') with
@@ -422,25 +420,33 @@ def _horizontal_strips(
 
 
 def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
-    """Ground truth by brute force: expand the product of complementary
-    Schur polynomials inside the r x (n-r) box; nonzero iff anything
-    survives.  Independent of the Horn recursion."""
+    """Ground truth: expand the product of all but the last complementary
+    Schur polynomial inside the r x (n-r) box by the Littlewood-Richardson
+    rule, then test the survivors against the last complement c by
+    Poincare duality: sigma_nu * sigma_c is nonzero iff nu_i + c_{r+1-i}
+    <= n-r for every i (Fulton, Young Tableaux, 1997, 9.4).  LR coefficients
+    are nonnegative, so only the set of shapes is carried.  Independent of
+    the Horn recursion."""
     lams = tuple(lams)
     _check_box(lams, r, n)
     if not lams:
         raise ValueError("need at least one class")
+    if len(lams) == 1:
+        return True
     cap = n - r
     comps = [_complement(lam) for lam in lams]
-    acc: dict[tuple[int, ...], int] = {comps[0]: 1}
-    for nxt in comps[1:]:
-        grown: dict[tuple[int, ...], int] = {}
-        for shape, mult in acc.items():
-            for res, m in schur_expand(shape, nxt, r, cap).items():
-                grown[res] = grown.get(res, 0) + mult * m
-        acc = grown
-        if not acc:
+    shapes = {comps[0]}
+    for nxt in comps[1:-1]:
+        shapes = {res for shape in shapes for res in schur_expand(shape, nxt, r, cap)}
+        if not shapes:
             return False
-    return bool(acc)
+    # The last complement read from row r up, against each nu from row 1 down.
+    last = comps[-1]
+    dual = (0,) * (r - len(last)) + last[::-1]
+    return any(
+        all(x + y <= cap for x, y in zip(shape + (0,) * (r - len(shape)), dual))
+        for shape in shapes
+    )
 
 
 def numeric_verdict(

@@ -21,7 +21,7 @@ validated on construction.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._record import Record, setfield
 

@@ -33,7 +33,7 @@ probability.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._record import Record, setfield
 from .exactla import (

@@ -22,7 +22,7 @@ their inverses, which the equations and the kernel positions both read.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from ._record import Record, setfield
 from .exactla import (
@@ -311,6 +311,11 @@ def find_witness(
             "descent produced a non-violated inequality; the sampled data "
             "cannot have been generic"
         )
+    if not lr_oracle(mus, d, r):
+        raise GenericityExhausted(
+            f"descent at p = {p} produced an inequality whose mu-product "
+            f"vanishes on Gr({d}, {r}); the sampled data cannot have been generic"
+        )
     return WitnessTrace(tuple(levels), final, slack, certs)
 
 
@@ -359,9 +364,13 @@ def verify_witness(trace: WitnessTrace, lams: Sequence[Partition]) -> bool:
         d = final.d
         if len(trace.certificates) != s or d != trace.levels[-1].r:
             return False
-        for cert_word, idx, mu in zip(trace.certificates, final.indices, final.mus):
+        for cert_word, rho_word, idx, mu in zip(
+            trace.certificates, top.kernel_positions, final.indices, final.mus
+        ):
             cert = StepString(cert_word, 2)
             if cert.n != r or cert.positions(2) != tuple(idx):
+                return False
+            if cert_word.replace("2", "1") != rho_word:
                 return False
             if mu.parts != tuple(pos - k for k, pos in enumerate(idx, start=1)):
                 return False

@@ -58,6 +58,14 @@ def test_witness_genericity_exhaustion_exits_four(capsys, monkeypatch):
     assert code == 4 and "error:" in err
 
 
+def test_witness_mu_product_vanishing_at_small_prime_exits_four(capsys):
+    # Over F_2 this descent ends at mu = ((0,0),(0,1)) on Gr(2,3), whose
+    # product vanishes: not a Horn inequality, so no certificate is printed.
+    code, out, err = run(capsys, ["witness", "0,0,1/3x3;0,2,2/3x3", "--prime", "2"])
+    assert code == 4 and out == ""
+    assert "p = 2" in err and "mu-product" in err
+
+
 def test_method_disagreement_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "lr_oracle", lambda *a, **k: True)
     code, _, err = run(capsys, ["check", "0,1/2x2 ; 0,1/2x2 ; 0,1/2x2"])

@@ -18,6 +18,7 @@ from hornkit.exactla import (
     check_prime,
     derive_seed,
     intersect,
+    is_prime,
     random_invertible,
     random_matrix,
     rref,
@@ -210,7 +211,7 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     # -S: no site-packages .pth hook runs, so only hornkit's own imports count
     code = (
         "import sys, hornkit, hornkit.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -243,3 +244,12 @@ def test_check_prime_refuses_beyond_64_bits():
     with pytest.raises(ValueError, match=r"2\*\*64"):
         check_prime(2**64)
     check_prime(2**64 - 59)  # the largest 64-bit prime
+
+
+def test_is_prime_refuses_beyond_64_bits():
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        is_prime(PSEUDOPRIME_2_TO_37)
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        is_prime(2**64)
+    assert is_prime(2**64 - 59)
+    assert not is_prime(2**64 - 1)

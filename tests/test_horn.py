@@ -35,6 +35,10 @@ def _random_partition(rng, r, cap):
     return Partition(tuple(sorted(rng.randint(0, cap) for _ in range(r))), cap)
 
 
+def _case(r, n, *parts):
+    return tuple(Partition(p, n - r) for p in parts), r, n
+
+
 # --- HornInequality type -------------------------------------------------------
 
 
@@ -293,6 +297,64 @@ def test_lr_oracle_single_factor():
     assert lr_oracle((Partition((0, 2), 3),), 2, 5)
 
 
+def _full_expansion(lams, r, n):
+    """Reference: multiply every complementary Schur polynomial by the LR
+    rule inside the r x (n-r) box, with multiplicities; nonzero iff
+    anything survives."""
+    cap = n - r
+    comps = [tuple(cap - x for x in lam.parts if x < cap) for lam in lams]
+    acc = {comps[0]: 1}
+    for nxt in comps[1:]:
+        grown = {}
+        for shape, mult in acc.items():
+            for res, m in schur_expand(shape, nxt, r, cap).items():
+                grown[res] = grown.get(res, 0) + mult * m
+        acc = grown
+    return bool(acc)
+
+
+def test_lr_oracle_matches_full_expansion_on_whole_boxes():
+    # every ordered pair with r <= 3, n - r <= 4, and every ordered triple
+    # with n <= 5, the empty boxes r = 0 and n = r included
+    count = 0
+    for r, cap in itertools.product(range(4), range(5)):
+        parts = list(all_partitions(r, cap))
+        for s in (2, 3) if r + cap <= 5 else (2,):
+            for lams in itertools.product(parts, repeat=s):
+                assert lr_oracle(lams, r, r + cap) == _full_expansion(
+                    lams, r, r + cap
+                ), lams
+                count += 1
+    assert count == 4712
+
+
+@st.composite
+def _oracle_tuples(draw):
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(0, min(4, n)))
+    s = draw(st.integers(1, 4))
+    part = st.integers(0, n - r)
+    lams = tuple(
+        Partition(tuple(sorted(draw(st.lists(part, min_size=r, max_size=r)))), n - r)
+        for _ in range(s)
+    )
+    return lams, r, n
+
+
+@given(_oracle_tuples())
+@settings(max_examples=200, deadline=None)
+@example(_case(3, 7, (0, 1, 2)))  # s = 1
+@example(_case(4, 9, (0, 1, 3, 3), (3, 3, 3, 5)))  # s = 2, zero
+@example(_case(4, 9, (0, 1, 3, 3), (2, 2, 4, 5)))  # s = 2, nonzero: dual classes
+@example(_case(4, 9, (0, 1, 3, 3), (2, 2, 4, 4)))  # s = 2, one box past: zero
+@example(_case(0, 3, (), (), ()))  # r = 0
+@example(_case(3, 3, (0, 0, 0), (0, 0, 0)))  # n = r
+@example(_case(2, 5, (0, 2), (1, 1), (1, 3), (2, 3)))  # s = 4
+def test_lr_oracle_matches_full_expansion(case):
+    lams, r, n = case
+    assert lr_oracle(lams, r, n) == _full_expansion(lams, r, n)
+
+
 # --- three-way agreement ----------------------------------------------------------
 
 
@@ -365,10 +427,6 @@ def _small_tuples(draw):
         for _ in range(s)
     )
     return lams, r, n
-
-
-def _case(r, n, *parts):
-    return tuple(Partition(p, n - r) for p in parts), r, n
 
 
 @given(_small_tuples())

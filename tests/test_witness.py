@@ -214,6 +214,16 @@ def test_verify_rejects_perturbed_certificate():
     assert not verify_witness(_replace(trace, certificates=("202",)), MID_PAIR)
 
 
+def test_verify_rejects_certificate_off_the_first_kernel():
+    # Same '2' positions as the genuine certificates, but '1's where the
+    # first kernel has '0's: each certificate must be that kernel's
+    # positions with the final index set marked '2'.
+    trace = find_witness(BIG_PAIR, 6, 10, seed=0)
+    assert trace.certificates == ("200120", "020012")
+    bad = _replace(trace, certificates=("210120", "120012"))
+    assert not verify_witness(bad, BIG_PAIR)
+
+
 def test_verify_rejects_truncated_levels():
     trace = _mid_trace()
     assert not verify_witness(_replace(trace, levels=trace.levels[:1]), MID_PAIR)
@@ -379,6 +389,22 @@ def test_every_vanishing_product_gets_verified_witness():
             assert all(lvl.n - lvl.r == n - r for lvl in trace.levels)
             count += 1
     assert count > 150
+
+
+def test_small_prime_traces_all_verify():
+    # Over F_2 and F_5 the sampled data is often not generic.  find_witness
+    # must then give up, never return a trace that verify_witness rejects.
+    returned = exhausted = 0
+    for p in (2, 5):
+        for lams in _zero_tuples(3, 6, 2):
+            try:
+                trace = find_witness(lams, 3, 6, seed=0, p=p)
+            except GenericityExhausted:
+                exhausted += 1
+                continue
+            assert verify_witness(trace, lams), (p, lams)
+            returned += 1
+    assert returned > 200 and exhausted > 0
 
 
 # --- white-box genericity of the descent ----------------------------------------------
