@@ -8,6 +8,18 @@ equality of data.  ``Mat`` and ``Subspace`` are immutable value records
 (``hornkit._record``).  ``Subspace.from_equations`` solves stacked linear
 equations with one nullspace; ``intersect`` first turns bases into them.
 
+Every elimination runs one forward-elimination core, ``_echelon``: it
+scales each pivot row to a leading 1 and clears the rows below, never
+those above.  Each caller then back-substitutes only as far as it needs.
+``Mat.rank`` counts the pivots and needs none.  ``rref`` (and so
+``Mat.inverse``, ``Subspace.from_spanning`` and ``Subspace.contains``)
+and ``Mat.nullspace`` back-substitute bottom-up with ``_back_substitute``,
+which works on the pivot-free columns only: a reduced row is 1 at its own
+pivot and 0 at the others, and a nullspace basis reads nothing else.
+``rref`` writes out the reduced rows, ``Mat.nullspace`` its basis.
+Reduced forms are canonical, so the results equal those of Gauss-Jordan
+elimination with about half the element updates.
+
 Randomness is fed through ``random.Random`` seeded deterministically;
 ``derive_seed`` hashes a label tuple so independent draws inside one run
 never share a stream.
@@ -89,29 +101,78 @@ def derive_seed(*parts: object) -> int:
 Rows = tuple[tuple[int, ...], ...]
 
 
+def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, list[int]]]:
+    """Forward elimination mod p of rows already reduced mod p.
+
+    Column by column: the first remaining row with a nonzero entry becomes
+    the pivot row and is scaled to a leading 1, the remaining rows are
+    cleared in that column, and the column is then dropped from them.
+    Returns one (pivot column, tail) pair per pivot, top-down, where tail
+    is the scaled pivot row right of its pivot.  The input is not changed.
+    """
+    work = list(rows)
+    echelon: list[tuple[int, list[int]]] = []
+    for col in range(ncols):
+        for i, row in enumerate(work):
+            if row[0]:
+                break
+        else:
+            work = [row[1:] for row in work]
+            continue
+        pivot = work.pop(i)
+        inv = pow(pivot[0], -1, p)
+        tail = [x * inv % p for x in pivot[1:]]
+        echelon.append((col, tail))
+        if not work:
+            break
+        work = [
+            [(a - f * b) % p for a, b in zip(row[1:], tail)] if (f := row[0]) else row[1:]
+            for row in work
+        ]
+    return echelon
+
+
+def _back_substitute(
+    echelon: list[tuple[int, list[int]]], ncols: int, p: int
+) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """Finish ``_echelon`` to reduced form on the free columns only.
+
+    Returns the free (pivot-free) columns and, per pivot row, its entries
+    at the free columns right of its pivot; its entries at the other pivot
+    columns are 0.  Bottom-up: each later pivot row is already reduced, so
+    a row's entry at a later pivot column is the factor to clear it with.
+    """
+    pivot_set = {col for col, _ in echelon}
+    free = [j for j in range(ncols) if j not in pivot_set]
+    solved: list[tuple[int, list[int]]] = []
+    for col, tail in reversed(echelon):
+        vals = [tail[f - col - 1] for f in free if f > col]
+        for later, later_vals in solved:
+            factor = tail[later - col - 1]
+            if factor:
+                cut = len(vals) - len(later_vals)
+                vals[cut:] = [(a - factor * b) % p for a, b in zip(vals[cut:], later_vals)]
+        solved.append((col, vals))
+    solved.reverse()
+    return free, solved
+
+
 def rref(rows: Iterable[Sequence[int]], ncols: int, p: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    work = [list(int(x) % p for x in row) for row in rows]
+    work = [[int(x) % p for x in row] for row in rows]
     for row in work:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                factor = work[i][col]
-                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    reduced = tuple(tuple(row) for row in work[:rank])
-    return reduced, tuple(pivots)
+    echelon = _echelon(work, ncols, p)
+    free, solved = _back_substitute(echelon, ncols, p)
+    reduced = []
+    for col, vals in solved:
+        row = [0] * ncols
+        row[col] = 1
+        for f, x in zip(free[len(free) - len(vals):], vals):
+            row[f] = x
+        reduced.append(tuple(row))
+    return tuple(reduced), tuple(col for col, _ in echelon)
 
 
 class Mat(Record):
@@ -172,23 +233,22 @@ class Mat(Record):
         return Mat(tuple(row[n:] for row in reduced), self.p)
 
     def rank(self) -> int:
-        _, pivots = rref(self.data, self.ncols, self.p)
-        return len(pivots)
+        return len(_echelon(self.data, self.ncols, self.p))
 
     def nullspace(self) -> "Subspace":
         """Right nullspace {v : M v = 0} as a canonical subspace of F_p^ncols."""
-        reduced, pivots = rref(self.data, self.ncols, self.p)
-        p = self.p
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
+        ncols, p = self.ncols, self.p
+        free, solved = _back_substitute(_echelon(self.data, ncols, p), ncols, p)
         basis = []
-        for f in free:
-            vec = [0] * self.ncols
+        for i, f in enumerate(free):
+            vec = [0] * ncols
             vec[f] = 1
-            for i, col in enumerate(pivots):
-                vec[col] = (-reduced[i][f]) % p
+            for col, vals in solved:
+                k = i - len(free) + len(vals)  # vals covers the last len(vals) free columns
+                if k >= 0:
+                    vec[col] = -vals[k] % p
             basis.append(tuple(vec))
-        return Subspace.from_spanning(basis, self.ncols, p)
+        return Subspace.from_spanning(basis, ncols, p)
 
 
 class Subspace(Record):
@@ -217,6 +277,9 @@ class Subspace(Record):
         cls, rows: Sequence[Sequence[int]], ambient_dim: int, p: int
     ) -> "Subspace":
         """{v : row . v = 0 for every row}; the whole space when there are none."""
+        for row in rows:
+            if len(row) != ambient_dim:
+                raise ValueError(f"equation of length {len(row)}, expected {ambient_dim}")
         if not rows:
             return cls.full(ambient_dim, p)
         return Mat(tuple(rows), p).nullspace()

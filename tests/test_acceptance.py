@@ -225,3 +225,28 @@ def test_criterion_8_golden_determinism():
     assert large["certificates"] == ["200120", "020012"]
     elapsed = time.perf_counter() - start
     _report(8, elapsed, "CLI output byte-identical to stored goldens")
+
+
+def test_big_box_goldens():
+    """find_witness traces for dimension-tight vanishing tuples on Gr(7,14)
+    s=2 and s=3, Gr(7,15) s=3 and Gr(8,16) s=2, and transversality_verdict
+    reports for tuples of both answers on Gr(4,8)..Gr(7,14) s=3 and
+    Gr(5,10) s=4, recomputed from their stored inputs (about 0.5 s)."""
+    doc = json.loads((GOLDEN / "big_boxes.json").read_text())
+    assert len(doc["witness"]) == 8 and len(doc["check"]) == 10
+    for case in doc["witness"]:
+        r, n = case["r"], case["n"]
+        lams = tuple(Partition(parts, n - r) for parts in case["parts"])
+        trace = find_witness(lams, r, n)
+        assert trace.to_json_dict() == case["trace"]
+        assert verify_witness(trace, lams) and trace.final_slack < 0
+    for case in doc["check"]:
+        r, n = case["r"], case["n"]
+        lams = tuple(Partition(parts, n - r) for parts in case["parts"])
+        report = transversality_verdict(lams)
+        assert case["report"] == {
+            "nonzero": report.nonzero,
+            "achieved_dim": report.achieved_dim,
+            "expected_dim": report.expected_dim,
+        }
+    assert {case["report"]["nonzero"] for case in doc["check"]} == {False, True}

@@ -99,6 +99,122 @@ def test_mat_rejects_large_prime_products():
     assert m.rank() == 2
 
 
+# --- the elimination core against Gauss-Jordan -------------------------------
+
+
+def _gauss_jordan(rows, ncols, p):
+    """The reference: Gauss-Jordan elimination, which normalises each pivot
+    row and clears its column in every other row, across all columns."""
+    work = [list(int(x) % p for x in row) for row in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [(x * inv) % p for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                factor = work[i][col]
+                work[i] = [(a - factor * b) % p for a, b in zip(work[i], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
+
+
+def _reference_nullspace(rows, ncols, p):
+    reduced, pivots = _gauss_jordan(rows, ncols, p)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        for i, col in enumerate(pivots):
+            vec[col] = (-reduced[i][f]) % p
+        basis.append(vec)
+    return _gauss_jordan(basis, ncols, p)[0]
+
+
+def _reference_inverse(rows, p):
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, pivots = _gauss_jordan(aug, 2 * n, p)
+    if pivots[:n] != tuple(range(n)) or len(reduced) != n:
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 9 x 9 over a small or a large prime: uniform or a low-rank
+    product, then some rows zeroed or duplicated and some columns zeroed."""
+    p = draw(st.sampled_from((2, 3, 97, DEFAULT_PRIME)))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        k = rng.randint(0, min(nrows, ncols))
+        a = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+        b = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+        rows = [
+            [sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    else:
+        rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3)) if nrows else 0):
+        i, j = rng.randrange(nrows), rng.randrange(nrows)
+        edit = rng.choice(("zero row", "duplicate row", "zero column"))
+        if edit == "zero row":
+            rows[i] = [0] * ncols
+        elif edit == "duplicate row":
+            rows[i] = list(rows[j])
+        elif ncols:
+            for row in rows:
+                row[j % ncols] = 0
+    return tuple(tuple(row) for row in rows), ncols, p
+
+
+@given(_matrices())
+@settings(max_examples=400, deadline=None)
+def test_elimination_matches_gauss_jordan(case):
+    rows, ncols, p = case
+    assert rref(rows, ncols, p) == _gauss_jordan(rows, ncols, p)
+    m = Mat(rows, p)
+    ker = m.nullspace()
+    assert ker.basis == _reference_nullspace(rows, m.ncols, p)
+    assert ker.ambient_dim == m.ncols
+    assert m.rank() == len(_gauss_jordan(rows, m.ncols, p)[1])
+    for vec in ker.basis:
+        assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
+    if m.nrows == m.ncols:
+        expected = _reference_inverse(rows, p)
+        if expected is None:
+            with pytest.raises(ValueError, match="singular"):
+                m.inverse()
+        else:
+            assert m.inverse().data == expected
+
+
+def test_elimination_fixtures_match_gauss_jordan():
+    # rank 2 of 3 with the second pivot row needing back-substitution into
+    # the first, and a free column right of every pivot
+    rows = ((1, 2, 3, 4), (0, 1, 5, 6), (1, 3, 8, 10))
+    for p in (2, 3, 7, 97):
+        assert rref(rows, 4, p) == _gauss_jordan(rows, 4, p)
+        ker = Mat(rows, p).nullspace()
+        assert ker.basis == _reference_nullspace(rows, 4, p)
+    assert rref(rows, 4, 97) == (((1, 0, 90, 89), (0, 1, 5, 6)), (0, 1))
+
+
+def test_from_equations_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match="expected 5"):
+        Subspace.from_equations([(1, 2, 3)], 5, 7)
+    with pytest.raises(ValueError, match="expected 3"):
+        Subspace.from_equations([(1, 2, 3), (1, 2)], 3, 7)
+    assert Subspace.from_equations([(1, 2, 3)], 3, 7).dim == 2
+
+
 # --- Subspace ----------------------------------------------------------------
 
 
