@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""One md5 over hornkit's numeric outputs on seeded dimension-tight tuples.
+
+Two checkouts that print the same digest for the same arguments gave the
+same answers on every tuple drawn: a change to the exact linear algebra
+that is meant to leave outputs alone can be checked by running this at
+the parent commit and at the change.
+
+For each box Gr(r, n) with s classes and each round, it draws one
+vanishing and one nonzero dimension-tight tuple (sum of weights equal to
+(s-1) * r * (n-r)), rejection-sampled until the LR oracle gives the
+wanted answer.  It records
+
+- the ``transversality_verdict`` report at the default prime and at p = 3,
+  where rank drops are common;
+- for the vanishing tuple, the ``find_witness`` trace as JSON and the
+  ``verify_witness`` result (or the ``GenericityExhausted`` message).
+
+    PYTHONPATH=src python3 scripts/output_digest.py [--seed N] [--rounds K]
+        [--boxes r,n,s;r,n,s;...] [--dump]
+
+stdout is the digest alone (32 hex digits); --dump prints each record on
+stderr first.  Exit status 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+
+from hornkit.exactla import DEFAULT_PRIME, derive_seed
+from hornkit.horn import lr_oracle
+from hornkit.strings import Partition
+from hornkit.tangent import transversality_verdict
+from hornkit.witness import GenericityExhausted, find_witness, verify_witness
+
+# Gr(4,8) to Gr(8,16), s = 2..4
+DEFAULT_BOXES = (
+    (4, 8, 2), (4, 8, 3), (4, 8, 4),
+    (5, 10, 2), (5, 10, 3), (5, 10, 4),
+    (6, 12, 3), (7, 14, 2), (7, 14, 3), (8, 16, 2), (8, 16, 3),
+)
+
+
+def parse_boxes(text: str) -> tuple[tuple[int, int, int], ...]:
+    boxes = []
+    for item in text.split(";"):
+        try:
+            r, n, s = (int(x) for x in item.split(","))
+        except ValueError:
+            raise SystemExit(f"bad box {item!r}: expected r,n,s") from None
+        if not 0 < r < n or s < 2:
+            raise SystemExit(f"bad box {item!r}: need 0 < r < n and s >= 2")
+        boxes.append((r, n, s))
+    return tuple(boxes)
+
+
+def draw_tight(rng: random.Random, r: int, n: int, s: int) -> tuple[Partition, ...]:
+    """s part lists, uniform in [0, n-r], then nudged one unit at a time at
+    random places until their weights sum to (s-1) * r * (n-r)."""
+    cap = n - r
+    target = (s - 1) * r * cap
+    parts = [[rng.randint(0, cap) for _ in range(r)] for _ in range(s)]
+    total = sum(map(sum, parts))
+    while total != target:
+        step = 1 if total < target else -1
+        row = parts[rng.randrange(s)]
+        k = rng.randrange(r)
+        if 0 <= row[k] + step <= cap:
+            row[k] += step
+            total += step
+    return tuple(Partition(tuple(sorted(row)), cap) for row in parts)
+
+
+def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
+    """Yield one text record per output, in a fixed order."""
+    for r, n, s in boxes:
+        rng = random.Random(derive_seed(seed, "output-digest", r, n, s))
+        for t in range(rounds):
+            for want in (False, True):
+                while True:
+                    lams = draw_tight(rng, r, n, s)
+                    if lr_oracle(lams, r, n) == want:
+                        break
+                label = f"Gr({r},{n}) s={s} round {t} {[lam.parts for lam in lams]}"
+                for p in (DEFAULT_PRIME, 3):
+                    report = transversality_verdict(lams, seed=t, p=p)
+                    yield f"{label} verdict p={p}: {report!r}"
+                if not want:
+                    try:
+                        trace = find_witness(lams, r, n, seed=t)
+                    except GenericityExhausted as exc:
+                        yield f"{label} witness: GenericityExhausted: {exc}"
+                        continue
+                    doc = json.dumps(trace.to_json_dict(), sort_keys=True, separators=(",", ":"))
+                    yield f"{label} witness: {doc}"
+                    yield f"{label} verified: {verify_witness(trace, lams)}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rounds", type=int, default=2, help="tuple pairs per box")
+    parser.add_argument("--boxes", type=parse_boxes, default=DEFAULT_BOXES,
+                        help="r,n,s;r,n,s;... (default Gr(4,8)..Gr(8,16), s = 2..4)")
+    parser.add_argument("--dump", action="store_true", help="print each record on stderr")
+    args = parser.parse_args()
+
+    digest = hashlib.md5()
+    for record in records(args.seed, args.rounds, args.boxes):
+        if args.dump:
+            print(record, file=sys.stderr)
+        digest.update(record.encode() + b"\n")
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,13 +10,22 @@ equations with one nullspace; ``intersect`` first turns bases into them.
 
 Every elimination runs one forward-elimination core, ``_echelon``: it
 scales each pivot row to a leading 1 and clears the rows below, never
-those above.  Each caller then back-substitutes only as far as it needs.
-``Mat.rank`` counts the pivots and needs none.  ``rref`` (and so
-``Mat.inverse``, ``Subspace.from_spanning`` and ``Subspace.contains``)
-and ``Mat.nullspace`` back-substitute bottom-up with ``_back_substitute``,
-which works on the pivot-free columns only: a reduced row is 1 at its own
-pivot and 0 at the others, and a nullspace basis reads nothing else.
-``rref`` writes out the reduced rows, ``Mat.nullspace`` its basis.
+those above.  Each caller then does only the work whose result it reads.
+``Mat.rank`` counts the pivots and back-substitutes nothing; so does
+``transversality_verdict`` in ``hornkit.tangent``, which reads only the
+rank of its stacked equations.  The others back-substitute bottom-up with
+``_back_substitute``, which works on the pivot-free columns only (a
+reduced row is 1 at its own pivot and 0 at the others) and computes each
+entry there as one dot product with the rows already solved below it:
+
+- ``rref`` (and so ``Subspace.from_spanning`` and ``Subspace.contains``)
+  writes out the full reduced rows;
+- ``Mat.nullspace`` and ``Subspace.from_equations`` read the pivot rows
+  at the free columns, which is all a nullspace basis needs; the
+  equations are coerced and reduced mod p once, on the way in;
+- ``Mat.inverse`` eliminates [M | I], whose free columns are n..2n-1 when
+  M is invertible, and reads the inverse from those values directly.
+
 Reduced forms are canonical, so the results equal those of Gauss-Jordan
 elimination with about half the element updates.
 
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 # The same object as hashlib.blake2b, without loading OpenSSL's _hashlib.
 from _blake2 import blake2b
@@ -139,22 +149,47 @@ def _back_substitute(
 
     Returns the free (pivot-free) columns and, per pivot row, its entries
     at the free columns right of its pivot; its entries at the other pivot
-    columns are 0.  Bottom-up: each later pivot row is already reduced, so
-    a row's entry at a later pivot column is the factor to clear it with.
+    columns are 0.  Bottom-up: every later pivot row is already reduced, so
+    a row's entry at a later pivot column is the factor to clear it with,
+    and its reduced entry at a free column is one dot product of those
+    factors with that column's entries in the later rows.
     """
     pivot_set = {col for col, _ in echelon}
     free = [j for j in range(ncols) if j not in pivot_set]
+    # below[k]: free column free[k] in the solved rows with a pivot left of
+    # it, in pivot order, so it pairs with a prefix of the factors
+    below: list[list[int]] = [[] for _ in free]
+    later: list[int] = []  # pivot columns of the solved rows, ascending
     solved: list[tuple[int, list[int]]] = []
+    start = len(free)
     for col, tail in reversed(echelon):
-        vals = [tail[f - col - 1] for f in free if f > col]
-        for later, later_vals in solved:
-            factor = tail[later - col - 1]
-            if factor:
-                cut = len(vals) - len(later_vals)
-                vals[cut:] = [(a - factor * b) % p for a, b in zip(vals[cut:], later_vals)]
+        while start and free[start - 1] > col:
+            start -= 1
+        factors = [tail[c - col - 1] for c in later]
+        vals = []
+        for f, column in zip(free[start:], below[start:]):
+            x = (tail[f - col - 1] - sum(map(mul, factors, column))) % p
+            vals.append(x)
+            column.insert(0, x)
+        later.insert(0, col)
         solved.append((col, vals))
     solved.reverse()
     return free, solved
+
+
+def _nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> "Subspace":
+    """{v : row . v = 0 for every row}, for rows already reduced mod p."""
+    free, solved = _back_substitute(_echelon(rows, ncols, p), ncols, p)
+    basis = []
+    for i, f in enumerate(free):
+        vec = [0] * ncols
+        vec[f] = 1
+        for col, vals in solved:
+            k = i - len(free) + len(vals)  # vals covers the last len(vals) free columns
+            if k >= 0:
+                vec[col] = -vals[k] % p
+        basis.append(tuple(vec))
+    return Subspace.from_spanning(basis, ncols, p)
 
 
 def rref(rows: Iterable[Sequence[int]], ncols: int, p: int) -> tuple[Rows, tuple[int, ...]]:
@@ -187,6 +222,16 @@ class Mat(Record):
         setfield(self, "data", data)
         setfield(self, "p", p)
         setfield(self, "_key", (data, p))
+
+    @classmethod
+    def _of_reduced(cls, data: Rows, p: int) -> "Mat":
+        """A Mat of rows of equal length already reduced mod p, stored as
+        given instead of reduced again."""
+        m = cls.__new__(cls)
+        setfield(m, "data", data)
+        setfield(m, "p", p)
+        setfield(m, "_key", (data, p))
+        return m
 
     @property
     def nrows(self) -> int:
@@ -223,32 +268,24 @@ class Mat(Record):
         return Mat(tuple(tuple(row[j] for j in js) for row in self.data), self.p)
 
     def inverse(self) -> "Mat":
-        n = self.nrows
+        n, p = self.nrows, self.p
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.data)]
-        reduced, pivots = rref(aug, 2 * n, self.p)
-        if pivots[:n] != tuple(range(n)) or len(reduced) != n:
+        echelon = _echelon(aug, 2 * n, p)
+        if [col for col, _ in echelon] != list(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(tuple(row[n:] for row in reduced), self.p)
+        # The free columns are n..2n-1, and each pivot row's values there
+        # are its row of the inverse, already reduced mod p.
+        _, solved = _back_substitute(echelon, 2 * n, p)
+        return Mat._of_reduced(tuple(tuple(vals) for _, vals in solved), p)
 
     def rank(self) -> int:
         return len(_echelon(self.data, self.ncols, self.p))
 
     def nullspace(self) -> "Subspace":
         """Right nullspace {v : M v = 0} as a canonical subspace of F_p^ncols."""
-        ncols, p = self.ncols, self.p
-        free, solved = _back_substitute(_echelon(self.data, ncols, p), ncols, p)
-        basis = []
-        for i, f in enumerate(free):
-            vec = [0] * ncols
-            vec[f] = 1
-            for col, vals in solved:
-                k = i - len(free) + len(vals)  # vals covers the last len(vals) free columns
-                if k >= 0:
-                    vec[col] = -vals[k] % p
-            basis.append(tuple(vec))
-        return Subspace.from_spanning(basis, ncols, p)
+        return _nullspace(self.data, self.ncols, self.p)
 
 
 class Subspace(Record):
@@ -277,12 +314,14 @@ class Subspace(Record):
         cls, rows: Sequence[Sequence[int]], ambient_dim: int, p: int
     ) -> "Subspace":
         """{v : row . v = 0 for every row}; the whole space when there are none."""
+        work = []
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(f"equation of length {len(row)}, expected {ambient_dim}")
-        if not rows:
+            work.append([int(x) % p for x in row])
+        if not work:
             return cls.full(ambient_dim, p)
-        return Mat(tuple(rows), p).nullspace()
+        return _nullspace(work, ambient_dim, p)
 
     @classmethod
     def zero(cls, ambient_dim: int, p: int) -> "Subspace":
@@ -301,6 +340,8 @@ class Subspace(Record):
         return len(stacked) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        if other.ambient_dim != self.ambient_dim or other.p != self.p:
+            raise ValueError("subspaces live in different ambient spaces")
         stacked, _ = rref(self.basis + other.basis, self.ambient_dim, self.p)
         return len(stacked) == self.dim
 

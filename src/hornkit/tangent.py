@@ -41,6 +41,7 @@ from .exactla import (
     Mat,
     Rows,
     Subspace,
+    _echelon,
     check_prime,
     derive_seed,
     random_matrix,
@@ -178,10 +179,14 @@ class FlagModel(Record):
 
     def vector(self, l: int) -> tuple[int, ...]:
         """The l-th flag vector (1-based)."""
+        if not 1 <= l <= self.size:
+            raise ValueError(f"flag vector {l} outside 1..{self.size}")
         return self.matrix.column(l - 1)
 
     def step(self, l: int) -> Subspace:
         """The l-th flag step as a subspace (l = 0 gives the zero space)."""
+        if not 0 <= l <= self.size:
+            raise ValueError(f"flag step {l} outside 0..{self.size}")
         vectors = [self.matrix.column(j) for j in range(l)]
         return Subspace.from_spanning(vectors, self.size, self.p)
 
@@ -289,19 +294,14 @@ def tangent_equations(
             f"flag sizes {(f_src.size, f_dst.size)} do not match lam in {r}x{cap}"
         )
     p = f_dst.p
-    ambient = cap * r
+    winv = f_dst.inverse.data
     rows = []
-    winv = f_dst.inverse
-    for l in range(1, r + 1):
+    for l, part in enumerate(lam.parts, start=1):
         v = f_src.vector(l)
-        for c in range(lam.parts[l - 1] + 1, cap + 1):
-            row = [0] * ambient
-            for a in range(1, cap + 1):
-                coeff = winv.data[c - 1][a - 1]
-                if coeff:
-                    for b in range(1, r + 1):
-                        row[(a - 1) * r + (b - 1)] = coeff * v[b - 1] % p
-            rows.append(tuple(row))
+        # the c-th destination-flag coordinate of phi(v), for c > lam_l:
+        # cell (a, b) carries winv[c][a] * v[b]
+        for w in winv[part:]:
+            rows.append(tuple([a * x % p for a in w for x in v]))
     return rows
 
 
@@ -391,7 +391,7 @@ def transversality_verdict(
     for t in range(trials):
         equations = generic_tangents(lams, derive_seed(seed, "trial", t), p)
         stacked = [row for rows in equations for row in rows]
-        dim = r * cap - len(rref(stacked, r * cap, p)[1])
+        dim = r * cap - len(_echelon(stacked, r * cap, p))
         achieved = dim if achieved is None else min(achieved, dim)
         if achieved == expected:
             break  # cannot go lower: the virtual dimension is a hard floor

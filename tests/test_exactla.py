@@ -215,6 +215,23 @@ def test_from_equations_rejects_rows_of_the_wrong_length():
     assert Subspace.from_equations([(1, 2, 3)], 3, 7).dim == 2
 
 
+@given(_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_from_equations_reduces_unreduced_entries(case, rng):
+    # each entry shifted by a multiple of p, negative or not: an entry
+    # that is a nonzero multiple of p must not pass for a pivot
+    rows, ncols, p = case
+    shifted = [[x + p * rng.randint(-3, 3) for x in row] for row in rows]
+    if shifted and ncols:
+        shifted[0][0] = p * rng.choice((-2, -1, 1, 2))
+    residues = [[x % p for x in row] for row in shifted]
+    assert Subspace.from_equations(shifted, ncols, p) == Subspace.from_equations(
+        residues, ncols, p
+    )
+    if rows:
+        assert Subspace.from_equations(residues, ncols, p) == Mat(residues, p).nullspace()
+
+
 # --- Subspace ----------------------------------------------------------------
 
 
@@ -232,6 +249,14 @@ def test_subspace_zero_and_full():
     assert intersect([z, f]).dim == 0
     assert f.contains((1, 2, 3, 4))
     assert not z.contains((1, 0, 0, 0))
+
+
+def test_contains_subspace_rejects_other_ambient_spaces():
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        Subspace.full(3, 7).contains_subspace(Subspace.full(3, 11))
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        Subspace.full(3, 7).contains_subspace(Subspace.zero(2, 7))
+    assert Subspace.full(3, 7).contains_subspace(Subspace.zero(3, 7))
 
 
 def test_annihilator_dimensions():

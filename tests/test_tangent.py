@@ -15,6 +15,7 @@ from hornkit.exactla import (
     derive_seed,
     intersect,
     random_invertible,
+    rref,
 )
 from hornkit.strings import (
     Partition,
@@ -166,6 +167,81 @@ def test_stacked_equations_cut_out_the_intersection(case):
     ]
     spaces = [X_from_flags(lam, *fp) for lam, fp in zip(lams, pairs)]
     assert Subspace.from_equations(stacked, r * cap, p) == intersect(spaces)
+
+
+def _nested_loop_equations(lam, f_src, f_dst):
+    """The reference: one zero row per equation, filled cell by cell."""
+    r, cap, p = lam.r, lam.cap, f_dst.p
+    winv = f_dst.inverse
+    rows = []
+    for l in range(1, r + 1):
+        v = f_src.vector(l)
+        for c in range(lam.parts[l - 1] + 1, cap + 1):
+            row = [0] * (cap * r)
+            for a in range(1, cap + 1):
+                coeff = winv.data[c - 1][a - 1]
+                if coeff:
+                    for b in range(1, r + 1):
+                        row[(a - 1) * r + (b - 1)] = coeff * v[b - 1] % p
+            rows.append(tuple(row))
+    return rows
+
+
+@given(_classes_with_flags())
+@settings(max_examples=80, deadline=None)
+def test_tangent_equations_match_nested_loops(case):
+    lams, pairs, _ = case
+    for lam, fp in zip(lams, pairs):
+        assert tangent_equations(lam, *fp) == _nested_loop_equations(lam, *fp)
+
+
+def _reference_verdict(lams, seed, trials, p):
+    """The verdict read off full reduced row echelon forms: per trial,
+    r * cap minus the number of pivots of the stacked equations."""
+    r, cap = lams[0].r, lams[0].cap
+    expected = sum(lam.weight for lam in lams) - (len(lams) - 1) * r * cap
+    achieved = None
+    for t in range(trials):
+        equations = generic_tangents(lams, derive_seed(seed, "trial", t), p)
+        stacked = [row for rows in equations for row in rows]
+        dim = r * cap - len(rref(stacked, r * cap, p)[1])
+        achieved = dim if achieved is None else min(achieved, dim)
+        if achieved == expected:
+            break
+    return tangent.TransversalityReport(achieved == expected, achieved, expected)
+
+
+@st.composite
+def _verdict_cases(draw):
+    """s = 2..4 classes in a box of at most 3 x 3 over a small or a large
+    prime; small primes make rank drops common."""
+    r, cap = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = draw(st.integers(2, 4))
+    part = st.lists(st.integers(0, cap), min_size=r, max_size=r)
+    lams = tuple(Partition(sorted(draw(part)), cap) for _ in range(s))
+    p = draw(st.sampled_from((2, 3, 97, DEFAULT_PRIME)))
+    return lams, draw(st.integers(0, 2**32)), draw(st.integers(1, 3)), p
+
+
+@given(_verdict_cases())
+@settings(max_examples=300, deadline=None)
+def test_verdict_matches_reduced_row_echelon_reference(case):
+    lams, seed, trials, p = case
+    assert transversality_verdict(lams, seed, trials, p) == _reference_verdict(
+        lams, seed, trials, p
+    )
+
+
+def test_flag_vector_and_step_reject_bad_indices():
+    flag = FlagModel.random(3, random.Random(0), 7)
+    for l in (0, -1, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            flag.vector(l)
+    for l in (-1, 4, 5):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            flag.step(l)
+    assert flag.vector(3) == flag.matrix.column(2)
+    assert flag.step(0).dim == 0 and flag.step(3).dim == 3
 
 
 def test_X_flag_size_mismatch():
