@@ -6,15 +6,18 @@ same answers on every tuple drawn: a change to the exact linear algebra
 that is meant to leave outputs alone can be checked by running this at
 the parent commit and at the change.
 
-For each box Gr(r, n) with s classes and each round, it draws one
-vanishing and one nonzero dimension-tight tuple (sum of weights equal to
-(s-1) * r * (n-r)), rejection-sampled until the LR oracle gives the
-wanted answer.  It records
+For each box Gr(r, n) with s classes it records the ``enumerate_horn``
+stream, one JSON line per inequality, when r <= 5.  For each round it
+then draws one vanishing and one nonzero dimension-tight tuple (sum of
+weights equal to (s-1) * r * (n-r)), rejection-sampled until the LR
+oracle gives the wanted answer.  It records
 
 - the ``transversality_verdict`` report at the default prime and at p = 3,
   where rank drops are common;
 - for the vanishing tuple, the ``find_witness`` trace as JSON and the
-  ``verify_witness`` result (or the ``GenericityExhausted`` message).
+  ``verify_witness`` result (or the ``GenericityExhausted`` message);
+- the exit status and stdout of ``hornkit check`` and ``hornkit witness``
+  on the tuple, in json, text and diagram format, with the round as seed.
 
     PYTHONPATH=src python3 scripts/output_digest.py [--seed N] [--rounds K]
         [--boxes r,n,s;r,n,s;...] [--dump]
@@ -26,13 +29,16 @@ stderr first.  Exit status 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
 
+from hornkit import cli
 from hornkit.exactla import DEFAULT_PRIME, derive_seed
-from hornkit.horn import lr_oracle
+from hornkit.horn import enumerate_horn, lr_oracle
 from hornkit.strings import Partition
 from hornkit.tangent import transversality_verdict
 from hornkit.witness import GenericityExhausted, find_witness, verify_witness
@@ -75,9 +81,22 @@ def draw_tight(rng: random.Random, r: int, n: int, s: int) -> tuple[Partition, .
     return tuple(Partition(tuple(sorted(row)), cap) for row in parts)
 
 
+def run_cli(argv: list[str]) -> str:
+    """Exit status and stdout of one in-process ``hornkit`` run; stderr is
+    dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return f"exit {code}\n{out.getvalue()}"
+
+
 def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
     """Yield one text record per output, in a fixed order."""
     for r, n, s in boxes:
+        if r <= 5:
+            for no, ineq in enumerate(enumerate_horn(r, n, s)):
+                doc = json.dumps(ineq.to_json_dict(), separators=(",", ":"))
+                yield f"Gr({r},{n}) s={s} inequality {no}: {doc}"
         rng = random.Random(derive_seed(seed, "output-digest", r, n, s))
         for t in range(rounds):
             for want in (False, True):
@@ -89,6 +108,11 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                 for p in (DEFAULT_PRIME, 3):
                     report = transversality_verdict(lams, seed=t, p=p)
                     yield f"{label} verdict p={p}: {report!r}"
+                classes = " ; ".join(str(lam) for lam in lams)
+                for command in ("check", "witness"):
+                    for fmt in ("json", "text", "diagram"):
+                        argv = [command, classes, "--seed", str(t), "--format", fmt]
+                        yield f"{label} {command} {fmt}: {run_cli(argv)}"
                 if not want:
                     try:
                         trace = find_witness(lams, r, n, seed=t)

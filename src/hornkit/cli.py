@@ -32,7 +32,7 @@ from collections.abc import Sequence
 
 from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME, check_prime
-from .horn import enumerate_horn, horn_verdict, lr_oracle
+from .horn import Verdict, enumerate_horn, horn_verdict, lr_oracle
 from .strings import Partition, StepString, parse_partition, string_to_partition
 from .tangent import (
     hat_X,
@@ -123,19 +123,13 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         if name == "horn":
             methods[name] = horn_verdict(lams, r, n).to_json_dict()
         elif name == "lr":
-            methods[name] = {
-                "nonzero": lr_oracle(lams, r, n),
-                "method": "lr-oracle",
-                "violated": None,
-            }
+            methods[name] = Verdict(lr_oracle(lams, r, n), "lr-oracle").to_json_dict()
         else:
             report = transversality_verdict(
                 lams, seed=cfg.seed, trials=cfg.trials, p=cfg.prime
             )
             methods[name] = {
-                "nonzero": report.nonzero,
-                "method": "numeric",
-                "violated": None,
+                **Verdict(report.nonzero, "numeric").to_json_dict(),
                 "achieved_dim": report.achieved_dim,
                 "expected_dim": report.expected_dim,
             }
@@ -165,7 +159,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
             print(render_cells(layers, r, r, n))
             for extra in lams[2:]:
                 print()
-                print(render_cells([hat_X(extra).free], r, r, n, symbols="*"))
+                print(render_pattern(hat_X(extra)))
             print()
         print(f"classes: {' ; '.join(doc['classes'])} (s={len(lams)} on Gr({r},{n}))")
         for name, rep in methods.items():

@@ -54,7 +54,6 @@ __all__ = [
     "Mat",
     "Subspace",
     "intersect",
-    "random_invertible",
 ]
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -374,12 +373,4 @@ def random_matrix(nrows: int, ncols: int, rng: random.Random, p: int) -> Mat:
     return Mat(
         tuple(tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)), p
     )
-
-
-def random_invertible(n: int, rng: random.Random, p: int) -> Mat:
-    """Rejection-sample an invertible n x n matrix (almost surely first try)."""
-    while True:
-        m = random_matrix(n, n, rng, p)
-        if m.rank() == n:
-            return m
 

@@ -22,6 +22,9 @@ the few candidates whose inequality actually fails.  A depth-first search
 over one table of Lambda(d, r-d) per level skips every subtree in which
 the partial left-hand side, plus the least the remaining factors can add
 while still passing the dimension count, reaches the right-hand side.
+That search (``_violated_candidates``) is the one walk over candidates:
+``enumerate_horn`` runs it too, with every score 0 against an infinite
+right-hand side, so it yields every candidate and certifies each in turn.
 Certificates are memoized for the duration of one call.
 
 The LR oracle decides the same question from the classical side: expand
@@ -43,7 +46,7 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 
 from ._record import Record, setfield
-from .exactla import DEFAULT_PRIME
+from .exactla import DEFAULT_PRIME, check_prime
 from .strings import Partition
 from .tangent import TransversalityReport, transversality_verdict
 
@@ -291,15 +294,11 @@ def enumerate_horn(r: int, n: int, s: int) -> Iterator[HornInequality]:
     memo: _Memo = {}
     for d in range(1, r + 1):
         table = _level_table(d, r)
-        rhs = (s - 1) * d * (n - r)
         need = (s - 1) * d * (r - d)
-        for rows in itertools.product(range(len(table)), repeat=s):
-            # Dimension prune (the level-d top-degree bound): cheaper than,
-            # and implied by, the recursive certificate below.
-            if sum(table[i].weight for i in rows) < need:
-                continue
+        # no score reaches an infinite bound: every candidate is yielded
+        for rows in _violated_candidates(table, [[0] * len(table)] * s, need, math.inf):
             if _nonzero(rows, d, r, memo):
-                yield _inequality(d, r, rows, rhs)
+                yield _inequality(d, r, rows, (s - 1) * d * (n - r))
 
 
 def evaluate(ineq: HornInequality, lams: Sequence[Partition]) -> int:
@@ -429,9 +428,7 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     the Horn recursion."""
     lams = tuple(lams)
     _check_box(lams, r, n)
-    if not lams:
-        raise ValueError("need at least one class")
-    if len(lams) == 1:
+    if len(lams) <= 1:
         return True
     cap = n - r
     comps = [_complement(lam) for lam in lams]
@@ -460,5 +457,8 @@ def numeric_verdict(
     """Randomized exact transversality test, re-tagged as a Verdict."""
     lams = tuple(lams)
     _check_box(lams, r, n)
+    if not lams:  # the empty product is the unit class
+        check_prime(p)
+        return Verdict(True, "numeric")
     report: TransversalityReport = transversality_verdict(lams, seed, trials, p)
     return Verdict(report.nonzero, "numeric")

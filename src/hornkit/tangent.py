@@ -55,7 +55,6 @@ __all__ = [
     "TwoStepModel",
     "hat_X",
     "hat_Y",
-    "blocks_of",
     "tangent_equations",
     "X_from_flags",
     "generic_tangents",
@@ -275,11 +274,6 @@ def hat_Y(sigma: StepString, d: int, r: int, n: int) -> TwoStepModel:
     return TwoStepModel(d, r, n, eta, full, (ul, ur, lr))
 
 
-def blocks_of(model: TwoStepModel) -> tuple[PatternSpace, PatternSpace, PatternSpace]:
-    """The (01), (02), (12) blocks; each equals hat_X of the substring partition."""
-    return model.blocks
-
-
 def tangent_equations(
     lam: Partition, f_src: FlagModel, f_dst: FlagModel
 ) -> list[tuple[int, ...]]:
@@ -294,6 +288,8 @@ def tangent_equations(
             f"flag sizes {(f_src.size, f_dst.size)} do not match lam in {r}x{cap}"
         )
     p = f_dst.p
+    if f_src.p != p:
+        raise ValueError(f"flags over different prime fields: F_{f_src.p} and F_{p}")
     winv = f_dst.inverse.data
     rows = []
     for l, part in enumerate(lam.parts, start=1):
@@ -308,9 +304,8 @@ def tangent_equations(
 def X_from_flags(lam: Partition, f_src: FlagModel, f_dst: FlagModel) -> Subspace:
     """The tangent space cut out by ``tangent_equations``, as a subspace;
     its dimension is |lam| for every pair of flags."""
-    p = f_dst.p if lam.cap else f_src.p
     rows = tangent_equations(lam, f_src, f_dst)
-    space = Subspace.from_equations(rows, lam.cap * lam.r, p)
+    space = Subspace.from_equations(rows, lam.cap * lam.r, f_src.p)
     if space.dim != lam.weight:
         raise ValueError(
             f"constraint system has nullity {space.dim}, not |lam| = {lam.weight}: "
@@ -405,7 +400,7 @@ def _flag_echelon(v: Subspace, flag: FlagModel) -> tuple[Rows, tuple[int, ...]]:
     flag vector n - k, so it is a vector of V that enters at step n - k;
     the rows with pivots >= n - l span V intersect flag step l.
     """
-    if v.ambient_dim != flag.size:
+    if v.ambient_dim != flag.size or v.p != flag.p:
         raise ValueError("subspace and flag live in different ambient spaces")
     dual = flag.inverse.data[::-1]
     coords = [
@@ -514,12 +509,9 @@ def opposite_cells(
     return frozenset(flipped)
 
 
-def render_pattern(ps: PatternSpace, fill: str = "*", empty: str = ".") -> str:
-    """One text row per grid row; free cells as ``fill``."""
-    return "\n".join(
-        "".join(fill if (a, b) in ps.free else empty for b in range(1, ps.cols + 1))
-        for a in range(1, ps.rows + 1)
-    )
+def render_pattern(ps: PatternSpace) -> str:
+    """Free cells as '*', on the two-step grid with d = r = cols (no lower-left block)."""
+    return render_cells([ps.free], ps.cols, ps.cols, ps.rows + ps.cols, symbols="*")
 
 
 def render_cells(
@@ -528,13 +520,11 @@ def render_cells(
     r: int,
     n: int,
     symbols: str = "*+",
-    overlap: str = "#",
-    empty: str = ".",
 ) -> str:
     """Overlay several two-step cell sets on one (n-d) x r grid.
 
-    The absent lower-left block renders as spaces; a cell covered by more
-    than one layer renders as the overlap character.
+    The absent lower-left block renders as spaces, an empty cell as '.',
+    and a cell covered by more than one layer as '#'.
     """
     q, m = n - r, r - d
     lines = []
@@ -546,11 +536,11 @@ def render_cells(
                 continue
             hits = [i for i, cells in enumerate(cell_layers) if (j, k) in cells]
             if not hits:
-                row.append(empty)
+                row.append(".")
             elif len(hits) == 1:
                 row.append(symbols[hits[0] % len(symbols)])
             else:
-                row.append(overlap)
+                row.append("#")
         lines.append("".join(row))
     return "\n".join(lines)
 
@@ -586,8 +576,6 @@ def two_step_translate(
     model = hat_Y(sigma, d, r, n)
     q, m = n - r, r - d
     rng = random.Random(derive_seed(seed, "two-step", sigma.word))
-    sizes = (q, m, d)
-    starts = (0, q, q + m)
 
     def block_index(i: int) -> int:
         return 0 if i < q else (1 if i < q + m else 2)
@@ -598,23 +586,16 @@ def two_step_translate(
             for j in range(n):
                 if block_index(i) > block_index(j):
                     entries[i][j] = rng.randrange(p)
-        ok = True
-        for bi in range(3):
-            lo = starts[bi]
-            block = [
-                [rng.randrange(p) for _ in range(sizes[bi])] for _ in range(sizes[bi])
-            ]
-            bm = Mat(tuple(tuple(row) for row in block), p)
-            if sizes[bi] and bm.rank() != sizes[bi]:
-                ok = False
-                break
-            for i in range(sizes[bi]):
-                for j in range(sizes[bi]):
-                    entries[lo + i][lo + j] = block[i][j]
-        if ok:
-            break
-    g = Mat(tuple(tuple(row) for row in entries), p)
-    ginv = g.inverse()
+        for i in range(n):  # then the diagonal blocks, one after the other
+            for j in range(n):
+                if block_index(i) == block_index(j):
+                    entries[i][j] = rng.randrange(p)
+        g = Mat(tuple(tuple(row) for row in entries), p)
+        try:
+            ginv = g.inverse()
+        except ValueError:  # a diagonal block is singular: draw again
+            continue
+        break
 
     ambient = (n - d) * r
     vectors = []

@@ -32,7 +32,7 @@ from .exactla import (
     check_prime,
     derive_seed,
 )
-from .horn import HornInequality, _int, _ints, _items, evaluate, horn_verdict, lr_oracle
+from .horn import HornInequality, _check_box, _int, _ints, _items, evaluate, horn_verdict, lr_oracle
 from .strings import (
     Partition,
     StepString,
@@ -276,9 +276,8 @@ def find_witness(
     consistent generic data (never a wrong certificate).
     """
     lams = tuple(lams)
+    _check_box(lams, r, n)
     cap = n - r
-    if any(lam.r != r or lam.cap != cap for lam in lams):
-        raise ValueError(f"classes must lie in Lambda({r}, {cap})")
     check_prime(p)
     if len(lams) < 2 or r == 0 or cap == 0:
         raise NonVanishingProduct("fewer than two proper classes cannot vanish")

@@ -19,10 +19,10 @@ from hornkit.exactla import (
     derive_seed,
     intersect,
     is_prime,
-    random_invertible,
     random_matrix,
     rref,
 )
+from hornkit.tangent import FlagModel
 
 P = 97  # small prime keeps hypothesis cases cheap; arithmetic is generic in p
 
@@ -69,7 +69,7 @@ def test_rref_idempotent_and_spanning(nrows, ncols, rng):
 
 def test_mat_mul_and_inverse():
     rng = random.Random(5)
-    m = random_invertible(4, rng, P)
+    m = FlagModel.random(4, rng, P).matrix
     minv = m.inverse()
     assert m.mul(minv).data == Mat.identity(4, P).data
     assert minv.mul(m).data == Mat.identity(4, P).data
@@ -308,12 +308,6 @@ def test_random_element_lies_in_space():
 
 
 # --- random generators -------------------------------------------------------
-
-
-def test_random_invertible_is_invertible():
-    rng = random.Random(0)
-    for m in range(1, 5):
-        assert random_invertible(m, rng, P).rank() == m
 
 
 def test_random_matrix_shape():

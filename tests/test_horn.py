@@ -136,6 +136,29 @@ def test_enumerate_rejects_bad_shapes():
         list(enumerate_horn(2, 4, 0))
 
 
+def _enumerate_reference(r, n, s):
+    """The plain product loop ``enumerate_horn`` ran before it shared the
+    verdict's candidate walk: every s-tuple of Lambda(d, r-d) in
+    lexicographic order, dimension-pruned, then certified."""
+    for d in range(1, r + 1):
+        table = list(itertools.combinations_with_replacement(range(r - d + 1), d))
+        for parts in itertools.product(table, repeat=s):
+            if sum(map(sum, parts)) < (s - 1) * d * (r - d):
+                continue
+            mus = tuple(Partition(mu, r - d) for mu in parts)
+            if horn_verdict(mus, d, r).nonzero:
+                indices = tuple(tuple(x + k for k, x in enumerate(mu, 1)) for mu in parts)
+                yield HornInequality(d, mus, indices, (s - 1) * d * (n - r))
+
+
+@pytest.mark.parametrize(
+    "r, n, s",
+    [(2, 5, 1), (4, 7, 1), (3, 7, 2), (5, 9, 2), (4, 8, 3), (5, 10, 3), (3, 6, 4), (4, 7, 4)],
+)
+def test_enumerate_matches_product_loop(r, n, s):
+    assert list(enumerate_horn(r, n, s)) == list(_enumerate_reference(r, n, s))
+
+
 # --- evaluate ------------------------------------------------------------------
 
 
@@ -213,6 +236,16 @@ def test_verdict_trivial_cases():
     assert horn_verdict((), 3, 7).nonzero
     assert horn_verdict((Partition((0, 2), 3),), 2, 5).nonzero
     assert horn_verdict((Partition((), 0), Partition((), 0)), 0, 0).nonzero
+
+
+@pytest.mark.parametrize("lams", [(), (Partition((0, 2, 4), 4),), (Partition((0, 0, 0), 4),)])
+def test_deciders_agree_on_empty_and_single_products(lams):
+    # the empty product is the unit class, and one class is its own product
+    assert horn_verdict(lams, 3, 7).nonzero
+    assert lr_oracle(lams, 3, 7)
+    assert numeric_verdict(lams, 3, 7) == Verdict(True, "numeric")
+    with pytest.raises(ValueError, match="91"):
+        numeric_verdict(lams, 3, 7, p=91)
 
 
 def test_verdict_dimensional_shortfall():

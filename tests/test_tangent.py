@@ -14,7 +14,7 @@ from hornkit.exactla import (
     Subspace,
     derive_seed,
     intersect,
-    random_invertible,
+    random_matrix,
     rref,
 )
 from hornkit.strings import (
@@ -31,7 +31,6 @@ from hornkit.tangent import (
     FlagModel,
     PatternSpace,
     X_from_flags,
-    blocks_of,
     eta_word,
     generic_tangents,
     hat_X,
@@ -251,6 +250,14 @@ def test_X_flag_size_mismatch():
         )
 
 
+def _random_invertible(m, rng, p):
+    """The rank-checked sampler that ``FlagModel.random`` replaced."""
+    while True:
+        mat = random_matrix(m, m, rng, p)
+        if mat.rank() == m:
+            return mat
+
+
 def test_random_flag_draws_as_random_invertible():
     # the inverse check rejection-samples with the same draws as the rank
     # check did; p = 2 makes singular draws common
@@ -258,16 +265,32 @@ def test_random_flag_draws_as_random_invertible():
         for m in range(5):
             for seed in range(20):
                 flag = FlagModel.random(m, random.Random(seed), p)
-                assert flag.matrix == random_invertible(m, random.Random(seed), p)
+                assert flag.matrix == _random_invertible(m, random.Random(seed), p)
                 assert flag.matrix.mul(flag.inverse) == Mat.identity(m, p)
 
 
 def test_X_raises_on_flags_over_different_fields():
     # invertible mod 5 (det -7), but mod 7 the second column is twice the
-    # first, so the constraint rows lose rank and the nullity exceeds |lam|
+    # first: a pair the nullity check would also catch
     src = FlagModel(Mat(((1, 2), (4, 1)), 5))
-    with pytest.raises(ValueError, match="nullity"):
+    with pytest.raises(ValueError, match="different prime fields"):
         X_from_flags(Partition((0, 1), 3), src, FlagModel.standard(3, 7))
+
+
+def test_mixed_primes_refused_where_the_nullity_check_misses():
+    # these equations have nullity |lam| = 3 over F_7, so the nullity check
+    # alone lets the pair through
+    lam = Partition((0, 1, 2), 3)
+    src = FlagModel.random(3, random.Random(1), 11)
+    dst = FlagModel.random(3, random.Random(1), 7)
+    with pytest.raises(ValueError, match="different prime fields"):
+        X_from_flags(lam, src, dst)
+    # a subspace over F_11 has no position against a flag over F_7
+    v = Subspace.from_spanning([(1, 2, 3)], 3, 11)
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        schubert_position(v, dst)
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        induced_flag(dst, v)
 
 
 # --- eta and hat_Y ------------------------------------------------------------
@@ -293,7 +316,7 @@ def test_hat_Y_printed_fixture():
 
 def test_blocks_printed_fixture():
     model = hat_Y(StepString("021010201", 2), 2, 5, 9)
-    b01, b02, b12 = blocks_of(model)
+    b01, b02, b12 = model.blocks
     assert render_pattern(b01) == "***\n.**\n..*\n..*"
     assert render_pattern(b02) == "**\n.*\n.*\n.."
     assert render_pattern(b12) == ".*\n.*\n.."
@@ -551,6 +574,71 @@ def test_two_step_translate_dimension():
             assert sub.dim == cell_dimension(sigma)
 
 
+def _two_step_translate_reference(sigma, d, r, n, seed, p):
+    """``two_step_translate`` as it was when it rank-checked each diagonal
+    block of its sampled g: same draws, then the same conjugate-and-project
+    step."""
+    model = hat_Y(sigma, d, r, n)
+    q, m = n - r, r - d
+    rng = random.Random(derive_seed(seed, "two-step", sigma.word))
+    sizes = (q, m, d)
+    starts = (0, q, q + m)
+
+    def block_index(i):
+        return 0 if i < q else (1 if i < q + m else 2)
+
+    while True:
+        entries = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if block_index(i) > block_index(j):
+                    entries[i][j] = rng.randrange(p)
+        ok = True
+        for bi in range(3):
+            lo = starts[bi]
+            block = [
+                [rng.randrange(p) for _ in range(sizes[bi])] for _ in range(sizes[bi])
+            ]
+            if sizes[bi] and Mat(block, p).rank() != sizes[bi]:
+                ok = False
+                break
+            for i in range(sizes[bi]):
+                for j in range(sizes[bi]):
+                    entries[lo + i][lo + j] = block[i][j]
+        if ok:
+            break
+    g = Mat(entries, p)
+    ginv = g.inverse()
+    vectors = []
+    for (j, k) in sorted(model.full.free):
+        col = g.column(j - 1)
+        rowv = ginv.data[q + k - 1]
+        vec = [0] * ((n - d) * r)
+        for jj in range(1, n - d + 1):
+            for kk in range(1, r + 1):
+                if not (jj > q and kk <= m):
+                    vec[(jj - 1) * r + (kk - 1)] = col[jj - 1] * rowv[q + kk - 1] % p
+        vectors.append(vec)
+    return Subspace.from_spanning(vectors, (n - d) * r, p)
+
+
+def test_two_step_translate_matches_rank_checked_sampler():
+    # At 2^31 - 1 a singular draw is vanishingly rare, so both samplers keep
+    # their first draw and must agree.  At p = 2 singular diagonal blocks are common:
+    # the inverse rejects them and the translate keeps the cell dimension
+    # (two_step_translate raises otherwise).
+    for n in range(3, 7):
+        for d in range(1, n - 1):
+            for r in range(d + 1, n):
+                for word in itertools.islice(all_step_words((n - r, r - d, d)), 12):
+                    sigma = StepString(word, 2)
+                    for seed in range(2):
+                        assert two_step_translate(
+                            sigma, d, r, n, seed=seed
+                        ) == _two_step_translate_reference(sigma, d, r, n, seed, P)
+                        two_step_translate(sigma, d, r, n, seed=seed, p=2)
+
+
 def test_two_step_translate_checks_its_dimension(monkeypatch):
     # the dimension check is a raised error, so it survives ``python -O``
     class Deficient(Subspace):
@@ -634,6 +722,34 @@ def test_render_overlay_first_example_level():
          "+++",
          " +*"]
     )
+
+
+def _render_pattern_reference(ps):
+    """``render_pattern``'s own loop, before it drew through ``render_cells``."""
+    return "\n".join(
+        "".join("*" if (a, b) in ps.free else "." for b in range(1, ps.cols + 1))
+        for a in range(1, ps.rows + 1)
+    )
+
+
+def test_render_pattern_matches_its_own_loop():
+    # every hat_X up to 4 x 4, the blocks of every hat_Y with n <= 6, and
+    # random cell sets, empty grids included
+    patterns = [
+        hat_X(lam) for r in range(5) for cap in range(5) for lam in all_partitions(r, cap)
+    ]
+    for n in range(3, 7):
+        for d in range(1, n - 1):
+            for r in range(d + 1, n):
+                for word in all_step_words((n - r, r - d, d)):
+                    patterns.extend(hat_Y(StepString(word, 2), d, r, n).blocks)
+    rng = random.Random(10)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        cells = [(a, b) for a in range(1, rows + 1) for b in range(1, cols + 1)]
+        patterns.append(PatternSpace(rows, cols, frozenset(c for c in cells if rng.random() < 0.5)))
+    for ps in patterns:
+        assert render_pattern(ps) == _render_pattern_reference(ps), ps
 
 
 def test_render_cells_blank_lower_left():
