@@ -19,6 +19,11 @@ oracle gives the wanted answer.  It records
 - the exit status and stdout of ``hornkit check`` and ``hornkit witness``
   on the tuple, in json, text and diagram format, with the round as seed.
 
+Last, it records the ``lr_oracle`` answer on LR_TUPLES tuples per round
+that are not dimension-tight: s = 2..5 classes on Gr(r, r+cap) with
+r, cap <= 6, each part uniform between a per-tuple floor and cap, so
+both answers and every depth of the LR walk occur.
+
     PYTHONPATH=src python3 scripts/output_digest.py [--seed N] [--rounds K]
         [--boxes r,n,s;r,n,s;...] [--dump]
 
@@ -51,6 +56,9 @@ DEFAULT_BOXES = (
 )
 
 
+LR_TUPLES = 100
+
+
 def parse_boxes(text: str) -> tuple[tuple[int, int, int], ...]:
     boxes = []
     for item in text.split(";"):
@@ -79,6 +87,18 @@ def draw_tight(rng: random.Random, r: int, n: int, s: int) -> tuple[Partition, .
             row[k] += step
             total += step
     return tuple(Partition(tuple(sorted(row)), cap) for row in parts)
+
+
+def draw_loose(rng: random.Random) -> tuple[tuple[Partition, ...], int, int]:
+    """s = 2..5 classes on Gr(r, r+cap), r and cap in 1..6, with every part
+    uniform in [floor, cap] for one floor drawn per tuple."""
+    s, r, cap = rng.randint(2, 5), rng.randint(1, 6), rng.randint(1, 6)
+    floor = rng.randint(0, cap)
+    lams = tuple(
+        Partition(tuple(sorted(rng.randint(floor, cap) for _ in range(r))), cap)
+        for _ in range(s)
+    )
+    return lams, r, r + cap
 
 
 def run_cli(argv: list[str]) -> str:
@@ -122,6 +142,10 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                     doc = json.dumps(trace.to_json_dict(), sort_keys=True, separators=(",", ":"))
                     yield f"{label} witness: {doc}"
                     yield f"{label} verified: {verify_witness(trace, lams)}"
+    rng = random.Random(derive_seed(seed, "output-digest", "lr"))
+    for t in range(rounds * LR_TUPLES):
+        lams, r, n = draw_loose(rng)
+        yield f"lr {t} Gr({r},{n}) {[lam.parts for lam in lams]}: {lr_oracle(lams, r, n)}"
 
 
 def main() -> int:

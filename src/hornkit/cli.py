@@ -186,6 +186,8 @@ def _format_ineq_text(ineq) -> str:
 
 
 def cmd_inequalities(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise CLIError("--limit must be at least 0")
     try:
         stream = enumerate_horn(args.r, args.n, args.s)
         count = 0

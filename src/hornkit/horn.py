@@ -27,11 +27,15 @@ That search (``_violated_candidates``) is the one walk over candidates:
 right-hand side, so it yields every candidate and certifies each in turn.
 Certificates are memoized for the duration of one call.
 
-The LR oracle decides the same question from the classical side: expand
-the product of all but the last complementary Schur polynomial inside the
-r x (n-r) box by the Littlewood-Richardson rule, and ask whether any
-survivor pairs nonzero with the last one by Poincare duality.  It shares
-no code with the recursion and serves as ground truth in tests.
+The LR oracle decides the same question from the classical side.  By
+Poincare duality the product is nonzero iff the product of all but the
+last complementary Schur polynomial has a term inside the dual shape of
+the last complement.  Multiplying by a Schur polynomial only adds boxes,
+so the oracle grows the first complement by the Littlewood-Richardson
+strips of the others inside that shape alone, and stops at the first
+filling that completes.  It shares no code with the recursion and serves
+as ground truth in tests.  ``schur_expand`` gives a whole expansion with
+its multiplicities, over the same strip walker.
 
 Inequalities, violations and verdicts are immutable value records
 (``hornkit._record``) with a ``to_json_dict`` form.
@@ -336,13 +340,6 @@ def horn_verdict(lams: Sequence[Partition], r: int, n: int) -> Verdict:
 # sorted, and Schur polynomial products are computed on these complements.
 
 
-def _complement(lam: Partition) -> tuple[int, ...]:
-    parts = tuple(lam.cap - x for x in lam.parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
-
-
 def schur_expand(
     a: Sequence[int], b: Sequence[int], max_rows: int, max_cols: int
 ) -> dict[tuple[int, ...], int]:
@@ -352,7 +349,8 @@ def schur_expand(
     partitions with at most max_rows rows and max_cols columns to their LR
     coefficients.  Letters of b are added as horizontal strips subject to
     the lattice-word condition: in every row prefix, letter j may not
-    outnumber letter j-1 placed one row higher.
+    outnumber letter j-1 placed one row higher.  Each strip stays inside
+    the max_rows x max_cols rectangle.
     """
     a = tuple(a)
     b = tuple(b)
@@ -361,6 +359,7 @@ def schur_expand(
             raise ValueError(f"{parts} is not weakly decreasing and nonnegative")
     if len(a) > max_rows or (a and a[0] > max_cols):
         return {}
+    bound = (max_cols,) * max_rows
     shape0 = a + (0,) * (max_rows - len(a))
     # states: (shape, previous strip row counts or None) -> multiplicity
     states: dict[tuple[tuple[int, ...], tuple[int, ...] | None], int] = {
@@ -369,8 +368,7 @@ def schur_expand(
     for size in b:
         new_states: dict[tuple[tuple[int, ...], tuple[int, ...] | None], int] = {}
         for (shape, prev), mult in states.items():
-            for new_shape, strip in _horizontal_strips(shape, size, max_cols, prev):
-                key = (new_shape, strip)
+            for key in _horizontal_strips(shape, size, bound, prev):
                 new_states[key] = new_states.get(key, 0) + mult
         states = new_states
         if not states:
@@ -387,12 +385,13 @@ def schur_expand(
 def _horizontal_strips(
     shape: tuple[int, ...],
     size: int,
-    max_cols: int,
+    bound: tuple[int, ...],
     prev: tuple[int, ...] | None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ways to grow ``shape`` by a horizontal strip of ``size`` boxes,
-    respecting the box bound and (when ``prev`` is given) the lattice-word
-    prefix condition against the previous strip's row counts."""
+    """All ways to grow ``shape`` by a horizontal strip of ``size`` boxes
+    with row i ending at most at ``bound[i]``, respecting (when ``prev`` is
+    given) the lattice-word prefix condition against the previous strip's
+    row counts.  Yields (new shape, strip row counts)."""
     rows = len(shape)
 
     def rec(
@@ -405,7 +404,7 @@ def _horizontal_strips(
                     tuple(cur),
                 )
             return
-        ceiling = max_cols if i == 0 else shape[i - 1]
+        ceiling = bound[0] if i == 0 else min(bound[i], shape[i - 1])
         most = min(remaining, ceiling - shape[i])
         if prev is not None:
             most = min(most, prev_prefix - cur_prefix)
@@ -419,31 +418,60 @@ def _horizontal_strips(
 
 
 def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
-    """Ground truth: expand the product of all but the last complementary
-    Schur polynomial inside the r x (n-r) box by the Littlewood-Richardson
-    rule, then test the survivors against the last complement c by
-    Poincare duality: sigma_nu * sigma_c is nonzero iff nu_i + c_{r+1-i}
-    <= n-r for every i (Fulton, Young Tableaux, 1997, 9.4).  LR coefficients
-    are nonnegative, so only the set of shapes is carried.  Independent of
-    the Horn recursion."""
+    """Ground truth by the Littlewood-Richardson rule, inside the dual shape
+    of the last class.
+
+    By Poincare duality sigma_nu * sigma_c is nonzero iff nu lies inside
+    beta, beta_i = (n-r) - c_{r+1-i}, for the last complement c (Fulton,
+    Young Tableaux, 1997, 9.4).  Multiplying by a Schur polynomial only adds
+    boxes and LR coefficients are nonnegative, so the product is nonzero iff
+    some filling of the other complements, grown from the first by
+    horizontal strips, stays inside beta.  So the first complement must lie
+    inside beta (for two classes that is the whole answer), every strip is
+    confined to beta row by row, the middle factors are expanded as sets of
+    (shape, last strip) states, and the last middle factor is walked depth
+    first until one filling completes.  Independent of the Horn recursion."""
     lams = tuple(lams)
     _check_box(lams, r, n)
     if len(lams) <= 1:
         return True
     cap = n - r
-    comps = [_complement(lam) for lam in lams]
-    shapes = {comps[0]}
-    for nxt in comps[1:-1]:
-        shapes = {res for shape in shapes for res in schur_expand(shape, nxt, r, cap)}
+    first, *middle, last = (tuple(cap - x for x in lam.parts) for lam in lams)
+    beta = tuple(cap - x for x in reversed(last))
+    if any(x > y for x, y in zip(first, beta)):
+        return False
+    if not middle:
+        return True
+    # the nonzero parts of each middle complement are its strip sizes
+    *expanded, walked = ([x for x in comp if x] for comp in middle)
+    shapes = {first}
+    for sizes in expanded:
+        states = {(shape, None) for shape in shapes}
+        for size in sizes:
+            states = {
+                grown
+                for shape, prev in states
+                for grown in _horizontal_strips(shape, size, beta, prev)
+            }
+        shapes = {shape for shape, _ in states}
         if not shapes:
             return False
-    # The last complement read from row r up, against each nu from row 1 down.
-    last = comps[-1]
-    dual = (0,) * (r - len(last)) + last[::-1]
-    return any(
-        all(x + y <= cap for x, y in zip(shape + (0,) * (r - len(shape)), dual))
-        for shape in shapes
-    )
+    # (shape, strip) states walked before, none of which completed.  Every
+    # start shape has as many boxes and every strip is nonempty, so a
+    # shape's box count tells which strip it was grown by.
+    seen: set = set()
+
+    def fill(j: int, shape: tuple[int, ...], prev: tuple[int, ...] | None) -> bool:
+        if j == len(walked):
+            return True
+        for state in _horizontal_strips(shape, walked[j], beta, prev):
+            if state not in seen:
+                seen.add(state)
+                if fill(j + 1, *state):
+                    return True
+        return False
+
+    return any(fill(0, shape, None) for shape in shapes)
 
 
 def numeric_verdict(

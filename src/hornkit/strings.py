@@ -279,6 +279,15 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(x) for x in lam.parts) + f"/{lam.r}x{lam.cap}"
 
 
+def _digits(token: str) -> int:
+    """The value of ASCII decimal digits, with spaces around them allowed;
+    ``int`` would also take signs, underscores and non-ASCII digits."""
+    token = token.strip()
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a run of decimal digits")
+    return int(token)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the comma-list-plus-rectangle syntax; raises ValueError."""
     if "/" not in text:
@@ -288,12 +297,12 @@ def parse_partition(text: str) -> Partition:
     if len(dims) != 2:
         raise ValueError(f"rectangle {box!r} is not of the form RxC")
     try:
-        r, cap = int(dims[0]), int(dims[1])
+        r, cap = _digits(dims[0]), _digits(dims[1])
     except ValueError:
         raise ValueError(f"rectangle {box!r} is not a pair of integers") from None
     body = body.strip()
     try:
-        parts = tuple(int(tok.strip()) for tok in body.split(",")) if body else ()
+        parts = tuple(_digits(tok) for tok in body.split(",")) if body else ()
     except ValueError:
         raise ValueError(f"part list {body!r} is not a comma list of integers") from None
     if len(parts) != r:

@@ -84,6 +84,10 @@ def test_bad_config_exits_two(capsys):
     assert run(capsys, ["check", MID, "--prime", "4"])[0] == 2
     code, _, err = run(capsys, ["check", MID, "--trials", "0"])
     assert code == 2 and "trials" in err
+    code, out, err = run(capsys, ["inequalities", "2", "4", "2", "--limit", "-1"])
+    assert code == 2 and "limit" in err and out == ""
+    code, out, _ = run(capsys, ["inequalities", "2", "4", "2", "--limit", "0"])
+    assert code == 0 and out == ""
 
 
 def test_prime_beyond_64_bits_exits_two(capsys):

@@ -330,6 +330,52 @@ def test_lr_oracle_single_factor():
     assert lr_oracle((Partition((0, 2), 3),), 2, 5)
 
 
+def _reference_schur_expand(a, b, max_rows, max_cols):
+    """Reference LR expansion truncated to a box, with one column bound for
+    every row: checks ``schur_expand`` directly, and ``lr_oracle`` through
+    ``_full_expansion``."""
+    a, b = tuple(a), tuple(b)
+    if len(a) > max_rows or (a and a[0] > max_cols):
+        return {}
+    states = {(a + (0,) * (max_rows - len(a)), None): 1}
+    for size in b:
+        new_states = {}
+        for (shape, prev), mult in states.items():
+            for key in _reference_strips(shape, size, max_cols, prev):
+                new_states[key] = new_states.get(key, 0) + mult
+        states = new_states
+        if not states:
+            return {}
+    result = {}
+    for (shape, _), mult in states.items():
+        trimmed = shape
+        while trimmed and trimmed[-1] == 0:
+            trimmed = trimmed[:-1]
+        result[trimmed] = result.get(trimmed, 0) + mult
+    return result
+
+
+def _reference_strips(shape, size, max_cols, prev):
+    rows = len(shape)
+
+    def rec(i, remaining, cur, prev_prefix, cur_prefix):
+        if i == rows:
+            if remaining == 0:
+                yield tuple(s + c for s, c in zip(shape, cur)), tuple(cur)
+            return
+        ceiling = max_cols if i == 0 else shape[i - 1]
+        most = min(remaining, ceiling - shape[i])
+        if prev is not None:
+            most = min(most, prev_prefix - cur_prefix)
+        for c in range(most + 1):
+            cur.append(c)
+            next_prev = prev_prefix + (prev[i] if prev is not None else 0)
+            yield from rec(i + 1, remaining - c, cur, next_prev, cur_prefix + c)
+            cur.pop()
+
+    yield from rec(0, size, [], 0, 0)
+
+
 def _full_expansion(lams, r, n):
     """Reference: multiply every complementary Schur polynomial by the LR
     rule inside the r x (n-r) box, with multiplicities; nonzero iff
@@ -340,10 +386,25 @@ def _full_expansion(lams, r, n):
     for nxt in comps[1:]:
         grown = {}
         for shape, mult in acc.items():
-            for res, m in schur_expand(shape, nxt, r, cap).items():
+            for res, m in _reference_schur_expand(shape, nxt, r, cap).items():
                 grown[res] = grown.get(res, 0) + mult * m
         acc = grown
     return bool(acc)
+
+
+_decreasing = st.lists(st.integers(0, 6), max_size=6).map(
+    lambda xs: tuple(sorted(xs, reverse=True))
+)
+
+
+@given(_decreasing, _decreasing, st.integers(0, 6), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+@example((2, 1), (2, 1), 3, 4)
+@example((3, 1), (2, 2, 1), 3, 3)
+def test_schur_expand_matches_reference(a, b, max_rows, max_cols):
+    assert schur_expand(a, b, max_rows, max_cols) == _reference_schur_expand(
+        a, b, max_rows, max_cols
+    )
 
 
 def test_lr_oracle_matches_full_expansion_on_whole_boxes():
@@ -365,13 +426,33 @@ def test_lr_oracle_matches_full_expansion_on_whole_boxes():
 def _oracle_tuples(draw):
     n = draw(st.integers(0, 8))
     r = draw(st.integers(0, min(4, n)))
-    s = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 5))
     part = st.integers(0, n - r)
     lams = tuple(
         Partition(tuple(sorted(draw(st.lists(part, min_size=r, max_size=r)))), n - r)
         for _ in range(s)
     )
     return lams, r, n
+
+
+@st.composite
+def _tight_oracle_tuples(draw):
+    """Tuples whose weights sum to (s-1) r (n-r): a nonzero product is then
+    a multiple of the point class, so the expansion must reach exactly the
+    dual shape of the last complement."""
+    r = draw(st.integers(1, 4))
+    cap = draw(st.integers(1, 4))
+    s = draw(st.integers(2, 5))
+    parts = [draw(st.lists(st.integers(0, cap), min_size=r, max_size=r)) for _ in range(s)]
+    total = sum(map(sum, parts))
+    target = (s - 1) * r * cap
+    for k in draw(st.permutations(range(s * r))):  # fix the weight cell by cell
+        row, col = divmod(k, r)
+        step = max(-parts[row][col], min(cap - parts[row][col], target - total))
+        parts[row][col] += step
+        total += step
+    assert total == target
+    return tuple(Partition(tuple(sorted(p)), cap) for p in parts), r, r + cap
 
 
 @given(_oracle_tuples())
@@ -383,7 +464,17 @@ def _oracle_tuples(draw):
 @example(_case(0, 3, (), (), ()))  # r = 0
 @example(_case(3, 3, (0, 0, 0), (0, 0, 0)))  # n = r
 @example(_case(2, 5, (0, 2), (1, 1), (1, 3), (2, 3)))  # s = 4
+@example(_case(2, 4, (1, 2), (0, 2), (2, 2), (1, 1), (0, 2)))  # s = 5
 def test_lr_oracle_matches_full_expansion(case):
+    lams, r, n = case
+    assert lr_oracle(lams, r, n) == _full_expansion(lams, r, n)
+
+
+@given(_tight_oracle_tuples())
+@settings(max_examples=200, deadline=None)
+@example(_case(2, 4, (1, 2), (0, 2), (1, 2)))  # s_1 s_2 s_1 = s_22: nonzero
+@example(_case(2, 4, (0, 2), (1, 1), (2, 2)))  # s_2 s_11 = 0 on Gr(2,4)
+def test_lr_oracle_matches_full_expansion_when_tight(case):
     lams, r, n = case
     assert lr_oracle(lams, r, n) == _full_expansion(lams, r, n)
 

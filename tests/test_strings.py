@@ -229,6 +229,9 @@ def test_parse_format_round_trip():
 
 
 def test_parse_errors():
-    for bad in ("0,1,3,3", "1,2/2", "a,b/2x2", "1,2/3x4", "0,5/2x3", "2,1/2x3"):
+    for bad in ("0,1,3,3", "1,2/2", "a,b/2x2", "1,2/3x4", "0,5/2x3", "2,1/2x3",
+                # int() takes these; a part or rectangle number is ASCII digits
+                "0_1/1x3", "+1/1x3", "\u0661/1x3", "1/+1x3", "1/1x0_3",
+                "1/1x\u0663", "-0/1x3"):
         with pytest.raises(ValueError):
             parse_partition(bad)
