@@ -24,6 +24,12 @@ that are not dimension-tight: s = 2..5 classes on Gr(r, r+cap) with
 r, cap <= 6, each part uniform between a per-tuple floor and cap, so
 both answers and every depth of the LR walk occur.
 
+Then, per round and per prime in KERNEL_PRIMES, it records ``rref``,
+``Mat.rank``, ``Mat.nullspace`` and ``Mat.inverse`` (or its error) on
+seeded matrices up to 100 columns wide: a dense random one, a square
+one, a low-rank product and a square of entries p - 1.  That covers the
+elimination core at widths and primes the tuples above never reach.
+
     PYTHONPATH=src python3 scripts/output_digest.py [--seed N] [--rounds K]
         [--boxes r,n,s;r,n,s;...] [--dump]
 
@@ -42,7 +48,7 @@ import random
 import sys
 
 from hornkit import cli
-from hornkit.exactla import DEFAULT_PRIME, derive_seed
+from hornkit.exactla import DEFAULT_PRIME, Mat, derive_seed, rref
 from hornkit.horn import enumerate_horn, lr_oracle
 from hornkit.strings import Partition
 from hornkit.tangent import transversality_verdict
@@ -57,6 +63,10 @@ DEFAULT_BOXES = (
 
 
 LR_TUPLES = 100
+
+# 2**61 - 1 and 2**64 - 59 put p**2 past 64 bits, so the elimination's
+# unreduced updates run on multi-word integers
+KERNEL_PRIMES = (2, 3, 97, DEFAULT_PRIME, 2**61 - 1, 2**64 - 59)
 
 
 def parse_boxes(text: str) -> tuple[tuple[int, int, int], ...]:
@@ -99,6 +109,42 @@ def draw_loose(rng: random.Random) -> tuple[tuple[Partition, ...], int, int]:
         for _ in range(s)
     )
     return lams, r, r + cap
+
+
+def kernel_matrices(rng: random.Random, p: int):
+    """Yield (kind, rows, ncols): dense random up to 100 x 100, square up
+    to 60 x 60, a product of rank at most 20 (its dependent rows clear to
+    multiples of p) and a square of entries p - 1."""
+    nrows, ncols = rng.randint(1, 100), rng.randint(1, 100)
+    yield "dense", [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols
+    n = rng.randint(1, 60)
+    yield "square", [[rng.randrange(p) for _ in range(n)] for _ in range(n)], n
+    nrows, ncols, k = rng.randint(1, 100), rng.randint(1, 100), rng.randint(0, 20)
+    a = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+    b = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+    cols = [[row[j] for row in b] for j in range(ncols)]
+    rows = [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+    yield f"rank<={k}", rows, ncols
+    n = rng.randint(1, 60)
+    yield "p-1", [[p - 1] * n for _ in range(n)], n
+
+
+def kernel_records(seed: int, rounds: int):
+    """Yield one text record per kernel output, in a fixed order."""
+    for p in KERNEL_PRIMES:
+        rng = random.Random(derive_seed(seed, "output-digest", "kernel", p))
+        for t in range(rounds):
+            for kind, rows, ncols in kernel_matrices(rng, p):
+                label = f"kernel p={p} round {t} {kind} {len(rows)}x{ncols}"
+                m = Mat(rows, p)
+                yield f"{label} rref: {rref(rows, ncols, p)!r}"
+                yield f"{label} rank: {m.rank()}"
+                yield f"{label} nullspace: {m.nullspace().basis!r}"
+                if len(rows) == ncols:
+                    try:
+                        yield f"{label} inverse: {m.inverse().data!r}"
+                    except ValueError as exc:
+                        yield f"{label} inverse: ValueError: {exc}"
 
 
 def run_cli(argv: list[str]) -> str:
@@ -146,6 +192,7 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
     for t in range(rounds * LR_TUPLES):
         lams, r, n = draw_loose(rng)
         yield f"lr {t} Gr({r},{n}) {[lam.parts for lam in lams]}: {lr_oracle(lams, r, n)}"
+    yield from kernel_records(seed, rounds)
 
 
 def main() -> int:

@@ -14,8 +14,10 @@ Classes are written ``"0,1,3,3/4x5"`` (parts, then the rectangle r x cap)
 and separated by ``';'``.  JSON goes to stdout, diagnostics to stderr.
 Exit codes: 0 nonzero / success, 10 product is zero, 2 bad input,
 3 witness requested for a nonzero product, 4 random sampling exhausted,
-1 internal disagreement.  The environment variable HORNKIT_SEED supplies
-the default seed.
+1 internal disagreement, 141 (128 + SIGPIPE) stdout closed by its reader,
+as in ``hornkit inequalities 6 12 3 | head -2``.  Integer arguments and
+the environment variable HORNKIT_SEED, which supplies the default seed,
+are ASCII decimal integers (``-?[0-9]+``).
 
 Start-up is part of every answer: a single ``check`` runs in a fresh
 process, so the package imports only the standard-library modules it
@@ -57,6 +59,7 @@ EXIT_PARSE = 2
 EXIT_NOT_VANISHING = 3
 EXIT_GENERICITY = 4
 EXIT_ZERO = 10
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a pipe writer
 
 
 class CLIError(Exception):
@@ -86,6 +89,15 @@ class RunConfig(Record):
         setfield(self, "trials", trials)
         setfield(self, "fmt", fmt)
         setfield(self, "_key", (prime, seed, trials, fmt))
+
+
+def _decimal(text: str) -> int:
+    """An ASCII decimal integer, -?[0-9]+: no sign but one minus, no
+    spaces, underscores or non-ASCII digits, all of which int() accepts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def parse_classes(text: str) -> tuple[tuple[Partition, ...], int, int]:
@@ -298,8 +310,8 @@ def cmd_diagram(args: argparse.Namespace, cfg: RunConfig) -> int:
     d, r, n = twos, ones + twos, sigma.n
     if args.shape:
         try:
-            given = tuple(int(x) for x in args.shape.split(","))
-        except ValueError:
+            given = tuple(_decimal(x) for x in args.shape.split(","))
+        except argparse.ArgumentTypeError:
             raise CLIError(f"--shape {args.shape!r} is not d,r,n") from None
         if given != (d, r, n):
             raise CLIError(
@@ -324,11 +336,11 @@ def _add_run_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     # On subparsers the defaults are SUPPRESS so a flag given before the
     # subcommand is not clobbered; real defaults live on the top parser.
     d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--prime", type=int, default=d(DEFAULT_PRIME),
+    parser.add_argument("--prime", type=_decimal, default=d(DEFAULT_PRIME),
                         help="field characteristic for exact linear algebra")
-    parser.add_argument("--seed", type=int, default=d(None),
+    parser.add_argument("--seed", type=_decimal, default=d(None),
                         help="random seed (default: $HORNKIT_SEED, then 0)")
-    parser.add_argument("--trials", type=int, default=d(3),
+    parser.add_argument("--trials", type=_decimal, default=d(3),
                         help="independent flag samples for the numeric method")
     parser.add_argument("--format", default=d("json"),
                         choices=("json", "text", "diagram"),
@@ -350,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_ineq = sub.add_parser("inequalities", help="list Horn inequalities")
-    p_ineq.add_argument("r", type=int)
-    p_ineq.add_argument("n", type=int)
-    p_ineq.add_argument("s", type=int)
-    p_ineq.add_argument("--limit", type=int, default=None)
+    p_ineq.add_argument("r", type=_decimal)
+    p_ineq.add_argument("n", type=_decimal)
+    p_ineq.add_argument("s", type=_decimal)
+    p_ineq.add_argument("--limit", type=_decimal, default=None)
     p_ineq.set_defaults(func=cmd_inequalities)
 
     p_wit = sub.add_parser("witness",
@@ -376,9 +388,9 @@ def _seed_from_env() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError:
-        raise CLIError(f"HORNKIT_SEED={raw!r} is not an integer") from None
+        return _decimal(raw)
+    except argparse.ArgumentTypeError:
+        raise CLIError(f"HORNKIT_SEED={raw!r} is not a decimal integer") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -391,10 +403,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         seed = args.seed if args.seed is not None else _seed_from_env()
         cfg = RunConfig(args.prime, seed, args.trials, args.format)
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # The idiom of the signal module's docs: point stdout at devnull so
+        # that the interpreter's own flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

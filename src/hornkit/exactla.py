@@ -29,6 +29,14 @@ entry there as one dot product with the rows already solved below it:
 Reduced forms are canonical, so the results equal those of Gauss-Jordan
 elimination with about half the element updates.
 
+``_echelon`` reduces lazily.  Rows come in reduced mod p and tails go out
+reduced, but a cleared row keeps a - f * b unreduced; only the entries
+the elimination reads are reduced, namely a row's leading entry when it
+is tested as a pivot and taken as the factor f, and the pivot row's
+tail when it is scaled.  After k columns every entry is below
+(k + 1) * p**2 in absolute value, and Python integers do not overflow,
+so every result is exact and the same as with reduction at each update.
+
 Randomness is fed through ``random.Random`` seeded deterministically;
 ``derive_seed`` hashes a label tuple so independent draws inside one run
 never share a stream.
@@ -113,17 +121,26 @@ Rows = tuple[tuple[int, ...], ...]
 def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, list[int]]]:
     """Forward elimination mod p of rows already reduced mod p.
 
-    Column by column: the first remaining row with a nonzero entry becomes
-    the pivot row and is scaled to a leading 1, the remaining rows are
-    cleared in that column, and the column is then dropped from them.
+    Column by column: the first remaining row whose entry is nonzero mod
+    p becomes the pivot row and is scaled to a leading 1, the remaining
+    rows are cleared in that column, and the column is then dropped from
+    them.
     Returns one (pivot column, tail) pair per pivot, top-down, where tail
-    is the scaled pivot row right of its pivot.  The input is not changed.
+    is the scaled pivot row right of its pivot, reduced mod p.  The input
+    is not changed.
+
+    Reduction is lazy: a cleared row keeps a - f * b unreduced, and only
+    the entries the elimination reads are reduced, namely a row's leading
+    entry when it is tested as a pivot and taken as the factor f, and the
+    pivot row's tail when it is scaled.  Each update moves an entry by less
+    than p**2, so after k columns every entry is below (k + 1) * p**2 in
+    absolute value; Python integers do not overflow.
     """
     work = list(rows)
     echelon: list[tuple[int, list[int]]] = []
     for col in range(ncols):
         for i, row in enumerate(work):
-            if row[0]:
+            if row[0] % p:
                 break
         else:
             work = [row[1:] for row in work]
@@ -135,7 +152,7 @@ def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[in
         if not work:
             break
         work = [
-            [(a - f * b) % p for a, b in zip(row[1:], tail)] if (f := row[0]) else row[1:]
+            [a - f * b for a, b in zip(row[1:], tail)] if (f := row[0] % p) else row[1:]
             for row in work
         ]
     return echelon

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, exit codes, output formats, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +99,69 @@ def test_prime_beyond_64_bits_exits_two(capsys):
     code, _, err = run(capsys, ["check", MID, "--prime", "318665857834031151167461"])
     assert code == 2 and "2**64" in err
     assert cli.RunConfig(prime=2**64 - 59).prime == 2**64 - 59
+
+
+def _int_lookalikes(value):
+    """Spellings of value that int() reads as value and the CLI refuses."""
+    text = str(value)
+    arabic_indic = text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return ["+" + text, " " + text, text + "\n", "0_" + text, arabic_indic]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["--prime", "{}", "check", MID], 97),
+        (["--seed", "{}", "check", MID], 7),
+        (["--trials", "{}", "check", MID], 2),
+        (["inequalities", "{}", "4", "2"], 2),
+        (["inequalities", "2", "{}", "2"], 4),
+        (["inequalities", "2", "4", "{}"], 2),
+        (["inequalities", "2", "4", "2", "--limit", "{}"], 1),
+    ],
+)
+def test_integer_arguments_are_ascii_decimals(capsys, argv, value):
+    assert run(capsys, [a.format(value) for a in argv])[0] in (0, 10)
+    for text in _int_lookalikes(value):
+        code, out, err = run(capsys, [a.format(text) for a in argv])
+        assert code == 2 and out == "" and "is not a decimal integer" in err
+
+
+def test_integer_checks_still_apply_to_decimals(capsys):
+    code, out, err = run(capsys, ["inequalities", "2", "4", "2", "--limit", "-2"])
+    assert code == 2 and "--limit must be at least 0" in err and out == ""
+    code, _, err = run(capsys, ["check", MID, "--trials", "-1"])
+    assert code == 2 and "--trials must be at least 1" in err
+
+
+def test_shape_and_seed_env_are_ascii_decimals(capsys, monkeypatch):
+    assert run(capsys, ["diagram", "021010201", "--shape", "2,5,9"])[0] == 0
+    for text in _int_lookalikes(5):
+        code, _, err = run(capsys, ["diagram", "021010201", "--shape", f"2,{text},9"])
+        assert code == 2 and "--shape" in err
+    monkeypatch.setenv("HORNKIT_SEED", "-5")
+    assert run(capsys, ["witness", MID])[0] == 10
+    for text in _int_lookalikes(5):
+        monkeypatch.setenv("HORNKIT_SEED", text)
+        code, out, err = run(capsys, ["witness", MID])
+        assert code == 2 and out == "" and "HORNKIT_SEED" in err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the inequality stream is about 190 kB, more than a pipe buffers, so a
+    # write fails however soon the child starts after the read end closes
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hornkit.cli", "inequalities", "6", "12", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 # --- check --------------------------------------------------------------------

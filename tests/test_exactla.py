@@ -207,6 +207,50 @@ def test_elimination_fixtures_match_gauss_jordan():
     assert rref(rows, 4, 97) == (((1, 0, 90, 89), (0, 1, 5, 6)), (0, 1))
 
 
+# 2**61 - 1 and 2**64 - 59 put p**2 past 64 bits, so the unreduced updates
+# of the elimination core run on multi-word integers
+WIDE_PRIMES = (2, 3, 97, DEFAULT_PRIME, 2**61 - 1, 2**64 - 59)
+
+
+def _wide_matrices(p):
+    """Seeded matrices 40 to 100 columns wide, where the elimination core
+    piles up many unreduced updates: dense random ones (one of them
+    square, for the inverse), all entries p - 1 (also square), and a
+    low-rank product, whose dependent rows are left holding multiples of
+    p that must not pass for pivots."""
+    rng = random.Random(derive_seed("wide matrices", p))
+    n = rng.randint(40, 60)
+    dense = [
+        (rng.randint(40, 100), rng.randint(40, 100)),
+        (rng.randint(10, 30), rng.randint(60, 100)),
+        (n, n),
+    ]
+    for nrows, ncols in dense:
+        yield [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)], ncols
+    yield [[p - 1] * 40 for _ in range(40)], 40
+    ncols, k = rng.randint(40, 100), rng.randint(5, 20)
+    a = [[rng.randrange(p) for _ in range(k)] for _ in range(60)]
+    b = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+    yield [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a], ncols
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_elimination_matches_gauss_jordan_at_real_widths(p):
+    for rows, ncols in _wide_matrices(p):
+        reduced, pivots = _gauss_jordan(rows, ncols, p)
+        assert rref(rows, ncols, p) == (reduced, pivots)
+        m = Mat(rows, p)
+        assert m.rank() == len(pivots)
+        assert m.nullspace().basis == _reference_nullspace(rows, ncols, p)
+        if len(rows) == ncols:
+            expected = _reference_inverse(rows, p)
+            if expected is None:
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+            else:
+                assert m.inverse().data == expected
+
+
 def test_from_equations_rejects_rows_of_the_wrong_length():
     with pytest.raises(ValueError, match="expected 5"):
         Subspace.from_equations([(1, 2, 3)], 5, 7)
