@@ -17,7 +17,10 @@ oracle gives the wanted answer.  It records
 - for the vanishing tuple, the ``find_witness`` trace as JSON and the
   ``verify_witness`` result (or the ``GenericityExhausted`` message);
 - the exit status and stdout of ``hornkit check`` and ``hornkit witness``
-  on the tuple, in json, text and diagram format, with the round as seed.
+  on the tuple, in json, text and diagram format, with the round as seed;
+- the exit status and stdout of ``hornkit diagram`` on each class, on its
+  01-string and, for the vanishing tuple, on each witness level's lifted
+  012-strings, which prints the full two-step grid and its three blocks.
 
 Last, it records the ``lr_oracle`` answer on LR_TUPLES tuples per round
 that are not dimension-tight: s = 2..5 classes on Gr(r, r+cap) with
@@ -50,7 +53,7 @@ import sys
 from hornkit import cli
 from hornkit.exactla import DEFAULT_PRIME, Mat, derive_seed, rref
 from hornkit.horn import enumerate_horn, lr_oracle
-from hornkit.strings import Partition
+from hornkit.strings import Partition, partition_to_string
 from hornkit.tangent import transversality_verdict
 from hornkit.witness import GenericityExhausted, find_witness, verify_witness
 
@@ -179,6 +182,9 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                     for fmt in ("json", "text", "diagram"):
                         argv = [command, classes, "--seed", str(t), "--format", fmt]
                         yield f"{label} {command} {fmt}: {run_cli(argv)}"
+                for lam in lams:
+                    for pattern in (str(lam), partition_to_string(lam).word):
+                        yield f"{label} diagram {pattern}: {run_cli(['diagram', pattern])}"
                 if not want:
                     try:
                         trace = find_witness(lams, r, n, seed=t)
@@ -188,6 +194,9 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                     doc = json.dumps(trace.to_json_dict(), sort_keys=True, separators=(",", ":"))
                     yield f"{label} witness: {doc}"
                     yield f"{label} verified: {verify_witness(trace, lams)}"
+                    for level in trace.levels:
+                        for word in level.lifted_strings:
+                            yield f"{label} diagram {word}: {run_cli(['diagram', word])}"
     rng = random.Random(derive_seed(seed, "output-digest", "lr"))
     for t in range(rounds * LR_TUPLES):
         lams, r, n = draw_loose(rng)

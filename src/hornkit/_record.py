@@ -9,7 +9,8 @@ other slot whose name starts with ``_`` holds a cached value, not a field.
 instances of the same class and a hash, both of ``_key`` alone; the
 ``Name(field=value, ...)`` repr; and ``AttributeError`` on assignment or
 deletion.  Pickling and copying rebuild the object through its
-constructor from ``_key``.
+constructor from ``_key``.  ``integer`` reads an integer argument: it
+refuses a float or string that ``int`` would truncate or parse.
 
 This replaces ``dataclass(frozen=True)`` because every CLI query is a
 fresh process that pays for each import: ``dataclasses`` imports
@@ -19,9 +20,19 @@ is imported.
 
 from __future__ import annotations
 
-__all__ = ["Record", "setfield"]
+from operator import index
+
+__all__ = ["Record", "setfield", "integer"]
 
 setfield = object.__setattr__
+
+
+def integer(x: object) -> int:
+    """x by ``operator.index``; ValueError names any x without ``__index__``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{x!r} is not an integer") from None
 
 
 class Record:

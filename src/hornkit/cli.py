@@ -8,7 +8,8 @@ Subcommands:
 * ``inequalities`` — stream the Horn inequalities for given (r, n, s).
 * ``witness``      — run the kernel descent on a vanishing product and print
                      the certified violated inequality.
-* ``diagram``      — draw the tangent pattern of a partition or 012-string.
+* ``diagram``      — draw the tangent pattern of a partition, a 01-string or
+                     a 012-string, whose letter counts fix d, r and n.
 
 Classes are written ``"0,1,3,3/4x5"`` (parts, then the rectangle r x cap)
 and separated by ``';'``.  JSON goes to stdout, diagnostics to stderr.
@@ -18,6 +19,10 @@ Exit codes: 0 nonzero / success, 10 product is zero, 2 bad input,
 as in ``hornkit inequalities 6 12 3 | head -2``.  Integer arguments and
 the environment variable HORNKIT_SEED, which supplies the default seed,
 are ASCII decimal integers (``-?[0-9]+``).
+
+``main`` resolves the seed (``--seed``, then HORNKIT_SEED, then 0) and
+refuses a bad ``--prime`` or ``--trials`` before any subcommand runs; each
+``cmd_*`` function then reads its flags from the parsed arguments alone.
 
 Start-up is part of every answer: a single ``check`` runs in a fresh
 process, so the package imports only the standard-library modules it
@@ -32,7 +37,6 @@ import os
 import sys
 from collections.abc import Sequence
 
-from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME, check_prime
 from .horn import Verdict, enumerate_horn, horn_verdict, lr_oracle
 from .strings import Partition, StepString, parse_partition, string_to_partition
@@ -51,7 +55,7 @@ from .witness import (
     find_witness,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_NONZERO = 0
 EXIT_INTERNAL = 1
@@ -64,31 +68,6 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a pipe writer
 
 class CLIError(Exception):
     """Bad input; the message goes to stderr and the exit code is 2."""
-
-
-class RunConfig(Record):
-    __slots__ = ("prime", "seed", "trials", "fmt")
-
-    def __init__(
-        self,
-        prime: int = DEFAULT_PRIME,
-        seed: int = 0,
-        trials: int = 3,
-        fmt: str = "json",
-    ) -> None:
-        try:
-            check_prime(prime)
-        except ValueError as exc:
-            raise CLIError(f"--prime: {exc}") from None
-        if trials < 1:
-            raise CLIError("--trials must be at least 1")
-        if fmt not in ("json", "text", "diagram"):
-            raise CLIError(f"unknown format {fmt!r}")
-        setfield(self, "prime", prime)
-        setfield(self, "seed", seed)
-        setfield(self, "trials", trials)
-        setfield(self, "fmt", fmt)
-        setfield(self, "_key", (prime, seed, trials, fmt))
 
 
 def _decimal(text: str) -> int:
@@ -127,7 +106,7 @@ def _print_json(doc: dict) -> None:
 # --- check -------------------------------------------------------------------
 
 
-def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     lams, r, n = parse_classes(args.classes)
     wanted = ("horn", "lr", "numeric") if args.method == "all" else (args.method,)
     methods: dict[str, dict] = {}
@@ -138,7 +117,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
             methods[name] = Verdict(lr_oracle(lams, r, n), "lr-oracle").to_json_dict()
         else:
             report = transversality_verdict(
-                lams, seed=cfg.seed, trials=cfg.trials, p=cfg.prime
+                lams, seed=args.seed, trials=args.trials, p=args.prime
             )
             methods[name] = {
                 **Verdict(report.nonzero, "numeric").to_json_dict(),
@@ -159,10 +138,10 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         "methods": methods,
         "nonzero": nonzero,
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json(doc)
     else:
-        if cfg.fmt == "diagram" and 0 < r < n:
+        if args.format == "diagram" and 0 < r < n:
             # One-step overlay: first class against the flag, second (if any)
             # against the opposite flag, further classes on their own grids.
             layers = [hat_X(lams[0]).free]
@@ -197,7 +176,7 @@ def _format_ineq_text(ineq) -> str:
     return f"d={ineq.d} rhs={ineq.rhs} indices {idx}"
 
 
-def cmd_inequalities(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_inequalities(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise CLIError("--limit must be at least 0")
     try:
@@ -206,7 +185,7 @@ def cmd_inequalities(args: argparse.Namespace, cfg: RunConfig) -> int:
         for ineq in stream:
             if args.limit is not None and count >= args.limit:
                 break
-            if cfg.fmt == "json":
+            if args.format == "json":
                 print(json.dumps(ineq.to_json_dict(), separators=(",", ":")))
             else:
                 print(_format_ineq_text(ineq))
@@ -244,10 +223,10 @@ def _render_level(level) -> str:
     return "\n\n".join(grids)
 
 
-def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_witness(args: argparse.Namespace) -> int:
     lams, r, n = parse_classes(args.classes)
     try:
-        trace: WitnessTrace = find_witness(lams, r, n, seed=cfg.seed, p=cfg.prime)
+        trace: WitnessTrace = find_witness(lams, r, n, seed=args.seed, p=args.prime)
     except NonVanishingProduct as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_VANISHING
@@ -262,9 +241,9 @@ def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
         "n": n,
         **trace.to_json_dict(),
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         _print_json(doc)
-    elif cfg.fmt == "text":
+    elif args.format == "text":
         print(f"classes: {' ; '.join(doc['classes'])} (s={len(lams)} on Gr({r},{n}))")
         for no, level in enumerate(trace.levels, start=1):
             tag = " terminal" if level.terminal else ""
@@ -290,7 +269,7 @@ def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- diagram -----------------------------------------------------------------
 
 
-def cmd_diagram(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_diagram(args: argparse.Namespace) -> int:
     text = args.pattern.strip()
     if "/" in text:
         try:
@@ -308,15 +287,6 @@ def cmd_diagram(args: argparse.Namespace, cfg: RunConfig) -> int:
     sigma = StepString(text, 2)
     zeros, ones, twos = sigma.counts
     d, r, n = twos, ones + twos, sigma.n
-    if args.shape:
-        try:
-            given = tuple(_decimal(x) for x in args.shape.split(","))
-        except argparse.ArgumentTypeError:
-            raise CLIError(f"--shape {args.shape!r} is not d,r,n") from None
-        if given != (d, r, n):
-            raise CLIError(
-                f"--shape {given} does not match the string's letter counts {(d, r, n)}"
-            )
     try:
         model = hat_Y(sigma, d, r, n)
     except ValueError as exc:
@@ -344,7 +314,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, top: bool) -> None:
                         help="independent flag samples for the numeric method")
     parser.add_argument("--format", default=d("json"),
                         choices=("json", "text", "diagram"),
-                        help="output format (diagram applies to witness/diagram)")
+                        help="output format; with diagram, check and witness "
+                             "also draw tangent patterns and inequalities prints "
+                             "text (the diagram command always draws)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diagram", help="draw a tangent pattern")
     p_diag.add_argument("pattern", help="partition like 0,1,3,3/4x5 or a 012-string")
-    p_diag.add_argument("--shape", default=None,
-                        help="d,r,n to validate a 012-string against")
     p_diag.set_defaults(func=cmd_diagram)
     for p in (p_check, p_ineq, p_wit, p_diag):
         _add_run_flags(p, top=False)
@@ -401,9 +371,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_PARSE
     try:
-        seed = args.seed if args.seed is not None else _seed_from_env()
-        cfg = RunConfig(args.prime, seed, args.trials, args.format)
-        code = args.func(args, cfg)
+        if args.seed is None:
+            args.seed = _seed_from_env()
+        try:
+            check_prime(args.prime)
+        except ValueError as exc:
+            raise CLIError(f"--prime: {exc}") from None
+        if args.trials < 1:
+            raise CLIError("--trials must be at least 1")
+        code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code
     except CLIError as exc:

@@ -51,7 +51,7 @@ from operator import mul
 # The same object as hashlib.blake2b, without loading OpenSSL's _hashlib.
 from _blake2 import blake2b
 
-from ._record import Record, setfield
+from ._record import Record, integer, setfield
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -210,7 +210,7 @@ def _nullspace(rows: Sequence[Sequence[int]], ncols: int, p: int) -> "Subspace":
 
 def rref(rows: Iterable[Sequence[int]], ncols: int, p: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    work = [[int(x) % p for x in row] for row in rows]
+    work = [[integer(x) % p for x in row] for row in rows]
     for row in work:
         if len(row) != ncols:
             raise ValueError(f"row of length {len(row)}, expected {ncols}")
@@ -232,7 +232,7 @@ class Mat(Record):
     __slots__ = ("data", "p")
 
     def __init__(self, data: Rows, p: int) -> None:
-        data = tuple(tuple(int(x) % p for x in row) for row in data)
+        data = tuple(tuple(integer(x) % p for x in row) for row in data)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
         setfield(self, "data", data)
@@ -334,7 +334,7 @@ class Subspace(Record):
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(f"equation of length {len(row)}, expected {ambient_dim}")
-            work.append([int(x) % p for x in row])
+            work.append([integer(x) % p for x in row])
         if not work:
             return cls.full(ambient_dim, p)
         return _nullspace(work, ambient_dim, p)

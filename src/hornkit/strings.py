@@ -13,8 +13,8 @@ witness.  The substring and projection operators slice a 012-string back
 down to 01-strings, and ``lift`` goes the other way: it refines a
 01-string by marking a subset of its '1's as '2's.
 
-``Partition``, ``StepString`` and ``LiftCertificate`` are immutable value
-records (``hornkit._record``): equal when their fields are, hashable, and
+``Partition`` and ``StepString`` are immutable value records
+(``hornkit._record``): equal when their fields are, hashable, and
 validated on construction.
 """
 
@@ -23,19 +23,17 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from ._record import Record, setfield
+from ._record import Record, integer, setfield
 
 __all__ = [
     "Partition",
     "StepString",
-    "LiftCertificate",
     "partition_to_string",
     "string_to_partition",
     "substring_uv",
     "project_j",
     "cell_dimension",
     "lift",
-    "lift_certificate",
     "horn_indices",
     "all_partitions",
     "all_step_words",
@@ -45,12 +43,13 @@ __all__ = [
 
 
 class Partition(Record):
-    """Weakly increasing parts in [0, cap]; the number of parts is the rank r."""
+    """Weakly increasing integer parts in [0, cap]; their number is the rank r."""
 
     __slots__ = ("parts", "cap")
 
     def __init__(self, parts: tuple[int, ...], cap: int) -> None:
-        parts = tuple(int(x) for x in parts)
+        parts = tuple(map(integer, parts))
+        cap = integer(cap)
         if cap < 0:
             raise ValueError(f"cap must be nonnegative, got {cap}")
         if any(x < 0 or x > cap for x in parts):
@@ -94,14 +93,6 @@ class StepString(Record):
         setfield(self, "word", word)
         setfield(self, "k", k)
         setfield(self, "_key", (word, k))
-
-    @classmethod
-    def parse(cls, word: str, k: int | None = None) -> "StepString":
-        """Build from a digit string, inferring k from the largest letter."""
-        if k is None:
-            k = max((int(c) for c in word), default=1)
-            k = max(k, 1)
-        return cls(word, k)
 
     @property
     def n(self) -> int:
@@ -213,26 +204,6 @@ def lift(tau: StepString, rho: StepString) -> StepString:
         else:
             out.append("0")
     return StepString("".join(out), 2)
-
-
-class LiftCertificate(Record):
-    """A lift together with its two slices; validates the round trip."""
-
-    __slots__ = ("base", "fiber", "lifted")
-
-    def __init__(self, base: StepString, fiber: StepString, lifted: StepString) -> None:
-        if project_j(lifted, 2) != base:
-            raise ValueError("lifted string does not project to the base")
-        if substring_uv(lifted, 1, 2) != fiber:
-            raise ValueError("lifted string does not slice to the fiber")
-        setfield(self, "base", base)
-        setfield(self, "fiber", fiber)
-        setfield(self, "lifted", lifted)
-        setfield(self, "_key", (base, fiber, lifted))
-
-
-def lift_certificate(tau: StepString, rho: StepString) -> LiftCertificate:
-    return LiftCertificate(tau, rho, lift(tau, rho))
 
 
 def horn_indices(sigma: StepString) -> tuple[int, ...]:

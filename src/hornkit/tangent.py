@@ -10,7 +10,9 @@ free cells of column j are the topmost lam_j, a staircase pattern.
 Two-step case: positions on the flag manifold of nested (d, r)-planes in
 n-space are 012-strings; the tangent model is a three-block grid (the
 lower-left block is absent) whose free cells are read off the
-position-sorting permutation eta of the string.
+position-sorting permutation eta of the string (``eta_word``).  A
+``TwoStepModel`` holds only the full grid and its three blocks; the
+caller already has d, r and n, since it passed them to ``hat_Y``.
 
 A Schubert tangent space is held as its defining equations
 (``tangent_equations``).  Intersecting tangent spaces stacks their
@@ -77,19 +79,12 @@ __all__ = [
 class PatternSpace(Record):
     """A coordinate subspace of a rows x cols matrix grid: a set of free cells.
 
-    Cells are 1-based (row, col).  ``kind`` records which Hom factor the grid
-    models (purely informational).
+    Cells are 1-based (row, col).
     """
 
-    __slots__ = ("rows", "cols", "free", "kind")
+    __slots__ = ("rows", "cols", "free")
 
-    def __init__(
-        self,
-        rows: int,
-        cols: int,
-        free: frozenset[tuple[int, int]],
-        kind: str = "hom(V,Q)",
-    ) -> None:
+    def __init__(self, rows: int, cols: int, free: frozenset[tuple[int, int]]) -> None:
         free = frozenset(free)
         for (a, b) in free:
             if not (1 <= a <= rows and 1 <= b <= cols):
@@ -97,8 +92,7 @@ class PatternSpace(Record):
         setfield(self, "rows", rows)
         setfield(self, "cols", cols)
         setfield(self, "free", free)
-        setfield(self, "kind", kind)
-        setfield(self, "_key", (rows, cols, free, kind))
+        setfield(self, "_key", (rows, cols, free))
 
     @property
     def dim(self) -> int:
@@ -195,7 +189,7 @@ def hat_X(lam: Partition) -> PatternSpace:
     free = {
         (a, b) for b, part in enumerate(lam.parts, start=1) for a in range(1, part + 1)
     }
-    return PatternSpace(lam.cap, lam.r, frozenset(free), kind="hom(V,Q)")
+    return PatternSpace(lam.cap, lam.r, frozenset(free))
 
 
 def eta_word(sigma: StepString) -> tuple[int, ...]:
@@ -215,24 +209,14 @@ class TwoStepModel(Record):
     column's position (the eta criterion).
     """
 
-    __slots__ = ("d", "r", "n", "eta", "full", "blocks")
+    __slots__ = ("full", "blocks")
 
     def __init__(
-        self,
-        d: int,
-        r: int,
-        n: int,
-        eta: tuple[int, ...],
-        full: PatternSpace,
-        blocks: tuple[PatternSpace, PatternSpace, PatternSpace],
+        self, full: PatternSpace, blocks: tuple[PatternSpace, PatternSpace, PatternSpace]
     ) -> None:
-        setfield(self, "d", d)
-        setfield(self, "r", r)
-        setfield(self, "n", n)
-        setfield(self, "eta", eta)
         setfield(self, "full", full)
         setfield(self, "blocks", blocks)
-        setfield(self, "_key", (d, r, n, eta, full, blocks))
+        setfield(self, "_key", (full, blocks))
 
     @property
     def dim(self) -> int:
@@ -240,7 +224,10 @@ class TwoStepModel(Record):
 
 
 def hat_Y(sigma: StepString, d: int, r: int, n: int) -> TwoStepModel:
-    """Build the two-step tangent model of a 012-string."""
+    """Build the two-step tangent model of a 012-string.
+
+    The blocks are Hom(V/S,Q), Hom(S,Q) and Hom(S,V/S), in that order.
+    """
     if sigma.k != 2:
         raise ValueError("two-step model needs a 012-string")
     if not 0 < d < r < n:
@@ -258,20 +245,13 @@ def hat_Y(sigma: StepString, d: int, r: int, n: int) -> TwoStepModel:
                 continue  # lower-left block: not in the model
             if eta[j - 1] < eta[q + k - 1]:
                 free.add((j, k))
-    full = PatternSpace(n - d, r, frozenset(free), kind="two-step-full")
-    ul = PatternSpace(
-        q, m, frozenset((j, k) for (j, k) in free if j <= q and k <= m), "hom(V/S,Q)"
-    )
-    ur = PatternSpace(
-        q, d, frozenset((j, k - m) for (j, k) in free if j <= q and k > m), "hom(S,Q)"
-    )
+    full = PatternSpace(n - d, r, frozenset(free))
+    ul = PatternSpace(q, m, frozenset((j, k) for (j, k) in free if j <= q and k <= m))
+    ur = PatternSpace(q, d, frozenset((j, k - m) for (j, k) in free if j <= q and k > m))
     lr = PatternSpace(
-        m,
-        d,
-        frozenset((j - q, k - m) for (j, k) in free if j > q and k > m),
-        "hom(S,V/S)",
+        m, d, frozenset((j - q, k - m) for (j, k) in free if j > q and k > m)
     )
-    return TwoStepModel(d, r, n, eta, full, (ul, ur, lr))
+    return TwoStepModel(full, (ul, ur, lr))
 
 
 def tangent_equations(

@@ -1,5 +1,6 @@
 """Value semantics of every record type: equality, hash, repr, immutability,
-pickling and copying, and the validation each constructor performs."""
+pickling and copying, and the validation each constructor (and ``rref``)
+performs."""
 
 import copy
 import inspect
@@ -7,16 +8,9 @@ import pickle
 
 import pytest
 
-from hornkit.cli import CLIError, RunConfig
-from hornkit.exactla import DEFAULT_PRIME, Mat, Subspace
+from hornkit.exactla import Mat, Subspace, rref
 from hornkit.horn import HornInequality, Verdict, Violation
-from hornkit.strings import (
-    LiftCertificate,
-    Partition,
-    StepString,
-    lift,
-    lift_certificate,
-)
+from hornkit.strings import Partition, StepString
 from hornkit.tangent import (
     FlagModel,
     PatternSpace,
@@ -40,8 +34,6 @@ def _build(cls):
         return Partition((0, 1, 3, 3), 5)
     if cls is StepString:
         return StepString("0120", 2)
-    if cls is LiftCertificate:
-        return lift_certificate(StepString("0101", 1), StepString("10", 1))
     if cls is Mat:
         return Mat(((1, 9), (3, 4)), 7)
     if cls is Subspace:
@@ -64,15 +56,12 @@ def _build(cls):
         return find_witness(PAIR, 2, 4, seed=0).levels[0]
     if cls is WitnessTrace:
         return find_witness(PAIR, 2, 4, seed=0)
-    if cls is RunConfig:
-        return RunConfig(trials=5)
     raise AssertionError(cls)
 
 
 RECORDS = (
     Partition,
     StepString,
-    LiftCertificate,
     Mat,
     Subspace,
     PatternSpace,
@@ -84,7 +73,6 @@ RECORDS = (
     Verdict,
     WitnessLevel,
     WitnessTrace,
-    RunConfig,
 )
 
 
@@ -129,10 +117,9 @@ def test_repr_examples():
     assert repr(Verdict(True, "lr-oracle")) == (
         "Verdict(nonzero=True, method='lr-oracle', violated=None)"
     )
-    assert repr(RunConfig()) == (
-        f"RunConfig(prime={DEFAULT_PRIME}, seed=0, trials=3, fmt='json')"
+    assert repr(_build(PatternSpace)) == (
+        "PatternSpace(rows=2, cols=2, free=frozenset({(1, 1), (2, 1)}))"
     )
-    assert repr(_build(PatternSpace)).endswith(", kind='hom(V,Q)')")
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -158,7 +145,8 @@ def test_pickle_and_deepcopy_round_trip(cls):
 
 
 def test_normalisation():
-    assert Partition(["0", 2.0, 2], 2).parts == (0, 2, 2)
+    with pytest.raises(ValueError, match="'0' is not an integer"):
+        Partition(["0", 2.0, 2], 2)
     assert Mat(((1, 9), (-1, 4)), 7).data == ((1, 2), (6, 4))
     free = PatternSpace(2, 2, [(1, 1), (1, 1)]).free
     assert type(free) is frozenset and free == {(1, 1)}
@@ -180,25 +168,19 @@ def test_flag_model_keeps_its_inverse_out_of_the_value():
         (lambda: Partition((1, 0), 3), ValueError, "weakly increasing"),
         (lambda: Partition((0, 4), 3), ValueError, r"must lie in \[0, 3\]"),
         (lambda: Partition((0,), -1), ValueError, "cap must be nonnegative"),
+        # integers are read with operator.index: int() would truncate these
+        (lambda: Partition((0, 1.7), 3), ValueError, "1.7 is not an integer"),
+        (lambda: Partition((0, 1), 2.5), ValueError, "2.5 is not an integer"),
+        (lambda: Mat(((0.5, 1), (1, 2.9)), 7), ValueError, "0.5 is not an integer"),
+        (
+            lambda: Subspace.from_equations([(0.9, 1)], 2, 7),
+            ValueError,
+            "0.9 is not an integer",
+        ),
+        (lambda: rref([(1.5, 2)], 2, 7), ValueError, "1.5 is not an integer"),
         (lambda: StepString("01", 0), ValueError, "must be >= 1"),
         (lambda: StepString("01", 10), ValueError, "single digit"),
         (lambda: StepString("0121", 1), ValueError, "letters outside 0..1"),
-        (
-            lambda: LiftCertificate(
-                StepString("0101", 1), StepString("10", 1), StepString("0120", 2)
-            ),
-            ValueError,
-            "does not project to the base",
-        ),
-        (
-            lambda: LiftCertificate(
-                StepString("0101", 1),
-                StepString("01", 1),
-                lift(StepString("0101", 1), StepString("10", 1)),
-            ),
-            ValueError,
-            "does not slice to the fiber",
-        ),
         (lambda: Mat(((1, 2), (3,)), 7), ValueError, "ragged rows"),
         (lambda: PatternSpace(2, 2, {(3, 1)}), ValueError, "outside 2x2 grid"),
         (lambda: FlagModel(Mat(((1, 2),), 7)), ValueError, "must be square"),
@@ -233,9 +215,6 @@ def test_flag_model_keeps_its_inverse_out_of_the_value():
             ValueError,
             "must carry a violation",
         ),
-        (lambda: RunConfig(prime=4), CLIError, "not a prime number"),
-        (lambda: RunConfig(trials=0), CLIError, "at least 1"),
-        (lambda: RunConfig(fmt="xml"), CLIError, "unknown format"),
     ],
 )
 def test_validation_errors(build, error, match):

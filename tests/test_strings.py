@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornkit.strings import (
-    LiftCertificate,
     Partition,
     StepString,
     all_partitions,
@@ -16,7 +15,6 @@ from hornkit.strings import (
     format_partition,
     horn_indices,
     lift,
-    lift_certificate,
     parse_partition,
     partition_to_string,
     project_j,
@@ -88,7 +86,7 @@ def test_projections_fixture():
 
 
 def test_step_string_parse_and_counts():
-    sigma = StepString.parse("021010201")
+    sigma = StepString("021010201", 2)
     assert sigma.k == 2
     assert sigma.counts == (4, 3, 2)
     assert sigma.positions(2) == (2, 7)
@@ -112,14 +110,6 @@ def test_lift_fixture():
 def test_lift_mismatched_fiber():
     with pytest.raises(ValueError):
         lift(StepString("101", 1), StepString("1", 1))
-
-
-def test_lift_certificate_validates():
-    tau, rho = StepString("1100", 1), StepString("01", 1)
-    cert = lift_certificate(tau, rho)
-    assert cert.lifted.word == "1200"
-    with pytest.raises(ValueError):
-        LiftCertificate(tau, rho, StepString("2100", 2))
 
 
 @given(st.data())

@@ -324,9 +324,6 @@ def test_blocks_printed_fixture():
     assert b01.column_counts() == (1, 2, 4)
     assert b02.column_counts() == (1, 3)
     assert b12.column_counts() == (0, 2)
-    assert (b01.kind, b02.kind, b12.kind) == (
-        "hom(V/S,Q)", "hom(S,Q)", "hom(S,V/S)"
-    )
 
 
 def test_hat_Y_extremes():
