@@ -9,7 +9,9 @@ Subcommands:
 * ``witness``      — run the kernel descent on a vanishing product and print
                      the certified violated inequality.
 * ``diagram``      — draw the tangent pattern of a partition, a 01-string or
-                     a 012-string, whose letter counts fix d, r and n.
+                     a 012-string, whose letter counts fix d, r and n, with
+                     its blocks as the patterns of its (0,1), (0,2) and (1,2)
+                     substrings; a word with no '1' is drawn as its 01-string.
 
 Classes are written ``"0,1,3,3/4x5"`` (parts, then the rectangle r x cap)
 and separated by ``';'``.  JSON goes to stdout, diagnostics to stderr.
@@ -39,12 +41,18 @@ from collections.abc import Sequence
 
 from .exactla import DEFAULT_PRIME, check_prime
 from .horn import Verdict, enumerate_horn, horn_verdict, lr_oracle
-from .strings import Partition, StepString, parse_partition, string_to_partition
+from .strings import (
+    Partition,
+    StepString,
+    parse_partition,
+    string_to_partition,
+    substring_uv,
+)
 from .tangent import (
     hat_X,
     hat_Y,
-    opposite_cells,
     render_cells,
+    render_overlay,
     render_pattern,
     transversality_verdict,
 )
@@ -144,13 +152,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.format == "diagram" and 0 < r < n:
             # One-step overlay: first class against the flag, second (if any)
             # against the opposite flag, further classes on their own grids.
-            layers = [hat_X(lams[0]).free]
-            if len(lams) > 1:
-                layers.append(opposite_cells(hat_X(lams[1]).free, r, r, n))
-            print(render_cells(layers, r, r, n))
+            if len(lams) == 1:
+                print(render_pattern(lams[0]))
+            else:
+                print(render_overlay(hat_X(lams[0]), hat_X(lams[1]), r, r, n))
             for extra in lams[2:]:
                 print()
-                print(render_pattern(hat_X(extra)))
+                print(render_pattern(extra))
             print()
         print(f"classes: {' ; '.join(doc['classes'])} (s={len(lams)} on Gr({r},{n}))")
         for name, rep in methods.items():
@@ -203,10 +211,10 @@ def _level_cells(level) -> list[frozenset]:
     cells = []
     for lam, word in zip(level.lams, level.lifted_strings):
         if level.terminal:
-            cells.append(hat_X(lam).free)
+            cells.append(hat_X(lam))
         else:
             sigma = StepString(word, 2)
-            cells.append(hat_Y(sigma, level.phi_nullity, level.r, level.n).full.free)
+            cells.append(hat_Y(sigma, level.phi_nullity, level.r, level.n))
     return cells
 
 
@@ -214,8 +222,7 @@ def _render_level(level) -> str:
     d = level.phi_nullity if not level.terminal else level.r
     cells = _level_cells(level)
     if len(cells) == 2:
-        layers = [cells[0], opposite_cells(cells[1], d, level.r, level.n)]
-        return render_cells(layers, d, level.r, level.n)
+        return render_overlay(cells[0], cells[1], d, level.r, level.n)
     grids = [
         render_cells([c], d, level.r, level.n, symbols="*+#"[i % 3])
         for i, c in enumerate(cells)
@@ -276,26 +283,26 @@ def cmd_diagram(args: argparse.Namespace) -> int:
             lam = parse_partition(text)
         except ValueError as exc:
             raise CLIError(str(exc)) from None
-        print(render_pattern(hat_X(lam)))
+        print(render_pattern(lam))
         return EXIT_NONZERO
     if not text or set(text) - set("012"):
         raise CLIError(f"{text!r} is neither a partition nor a 012-string")
-    if "2" not in text:
-        lam = string_to_partition(StepString(text, 1))
-        print(render_pattern(hat_X(lam)))
+    if "1" not in text or "2" not in text:  # d = 0 or d = r: a 01-string
+        word = StepString(text.replace("2", "1"), 1)
+        print(render_pattern(string_to_partition(word)))
         return EXIT_NONZERO
     sigma = StepString(text, 2)
     zeros, ones, twos = sigma.counts
     d, r, n = twos, ones + twos, sigma.n
     try:
-        model = hat_Y(sigma, d, r, n)
+        cells = hat_Y(sigma, d, r, n)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    print(render_cells([model.full.free], d, r, n, symbols="*"))
-    for name, block in zip(("01", "02", "12"), model.blocks):
+    print(render_cells([cells], d, r, n, symbols="*"))
+    for u, v in ((0, 1), (0, 2), (1, 2)):
         print()
-        print(f"{name}:")
-        print(render_pattern(block))
+        print(f"{u}{v}:")
+        print(render_pattern(string_to_partition(substring_uv(sigma, u, v))))
     return EXIT_NONZERO
 
 

@@ -83,6 +83,8 @@ class StepString(Record):
     __slots__ = ("word", "k")
 
     def __init__(self, word: str, k: int) -> None:
+        if not isinstance(word, str):
+            raise ValueError(f"word {word!r} is not a str")
         if k < 1:
             raise ValueError(f"alphabet bound k must be >= 1, got {k}")
         if k > 9:

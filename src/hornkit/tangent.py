@@ -1,18 +1,23 @@
 """Coordinate models of Schubert tangent spaces and transversality verdicts.
 
+A coordinate tangent pattern is its set of free cells: a frozenset of
+1-based (row, col) pairs.  The grid it lives on is fixed by the shape the
+caller already holds.
+
 One-step case: the tangent space to the Grassmannian Gr(r, n) at a fixed
 r-plane is Hom(plane, quotient), drawn as an (n-r) x r grid (source index
 as column).  The tangent space to the Schubert variety attached to a
 partition lam and a pair of flags is the subspace of maps phi with
 phi(source step l) inside destination step lam_l; with standard flags the
-free cells of column j are the topmost lam_j, a staircase pattern.
+free cells of column j are the topmost lam_j, a staircase pattern
+(``hat_X``).
 
 Two-step case: positions on the flag manifold of nested (d, r)-planes in
 n-space are 012-strings; the tangent model is a three-block grid (the
 lower-left block is absent) whose free cells are read off the
-position-sorting permutation eta of the string (``eta_word``).  A
-``TwoStepModel`` holds only the full grid and its three blocks; the
-caller already has d, r and n, since it passed them to ``hat_Y``.
+position-sorting permutation eta of the string (``hat_Y``, ``eta_word``).
+Its blocks are the ``hat_X`` patterns of the (0,1), (0,2) and (1,2)
+substrings: the tangent space splits into three one-step patterns.
 
 A Schubert tangent space is held as its defining equations
 (``tangent_equations``).  Intersecting tangent spaces stacks their
@@ -52,9 +57,7 @@ from .exactla import (
 from .strings import Partition, StepString
 
 __all__ = [
-    "PatternSpace",
     "FlagModel",
-    "TwoStepModel",
     "hat_X",
     "hat_Y",
     "tangent_equations",
@@ -74,45 +77,6 @@ __all__ = [
     "render_cells",
     "render_overlay",
 ]
-
-
-class PatternSpace(Record):
-    """A coordinate subspace of a rows x cols matrix grid: a set of free cells.
-
-    Cells are 1-based (row, col).
-    """
-
-    __slots__ = ("rows", "cols", "free")
-
-    def __init__(self, rows: int, cols: int, free: frozenset[tuple[int, int]]) -> None:
-        free = frozenset(free)
-        for (a, b) in free:
-            if not (1 <= a <= rows and 1 <= b <= cols):
-                raise ValueError(f"cell {(a, b)} outside {rows}x{cols} grid")
-        setfield(self, "rows", rows)
-        setfield(self, "cols", cols)
-        setfield(self, "free", free)
-        setfield(self, "_key", (rows, cols, free))
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def column_counts(self) -> tuple[int, ...]:
-        """Number of free cells per column (the lam-profile for staircases)."""
-        return tuple(
-            sum(1 for (a, b) in self.free if b == j) for j in range(1, self.cols + 1)
-        )
-
-    def subspace(self, p: int = DEFAULT_PRIME) -> Subspace:
-        """The coordinate subspace of F_p^(rows*cols), vectorized row-major."""
-        ambient = self.rows * self.cols
-        vectors = []
-        for (a, b) in sorted(self.free):
-            vec = [0] * ambient
-            vec[(a - 1) * self.cols + (b - 1)] = 1
-            vectors.append(tuple(vec))
-        return Subspace.from_spanning(vectors, ambient, p)
 
 
 class FlagModel(Record):
@@ -184,12 +148,12 @@ class FlagModel(Record):
         return Subspace.from_spanning(vectors, self.size, self.p)
 
 
-def hat_X(lam: Partition) -> PatternSpace:
-    """Coordinate tangent pattern: column j free in its topmost lam_j rows."""
-    free = {
+def hat_X(lam: Partition) -> frozenset[tuple[int, int]]:
+    """Coordinate tangent pattern on the cap x r grid: column j is free in
+    its topmost lam_j rows."""
+    return frozenset(
         (a, b) for b, part in enumerate(lam.parts, start=1) for a in range(1, part + 1)
-    }
-    return PatternSpace(lam.cap, lam.r, frozenset(free))
+    )
 
 
 def eta_word(sigma: StepString) -> tuple[int, ...]:
@@ -199,34 +163,16 @@ def eta_word(sigma: StepString) -> tuple[int, ...]:
     )
 
 
-class TwoStepModel(Record):
-    """Tangent model of a two-step flag position (a 012-string).
+def hat_Y(sigma: StepString, d: int, r: int, n: int) -> frozenset[tuple[int, int]]:
+    """Two-step tangent pattern of a 012-string.
 
     The grid has n-d rows (quotient directions, then middle directions) and
     r columns (middle directions, then inner-plane directions); the
     lower-left middle-by-middle block is not part of the model.  A cell is
     free exactly when its row's position in the string precedes its
-    column's position (the eta criterion).
-    """
-
-    __slots__ = ("full", "blocks")
-
-    def __init__(
-        self, full: PatternSpace, blocks: tuple[PatternSpace, PatternSpace, PatternSpace]
-    ) -> None:
-        setfield(self, "full", full)
-        setfield(self, "blocks", blocks)
-        setfield(self, "_key", (full, blocks))
-
-    @property
-    def dim(self) -> int:
-        return self.full.dim
-
-
-def hat_Y(sigma: StepString, d: int, r: int, n: int) -> TwoStepModel:
-    """Build the two-step tangent model of a 012-string.
-
-    The blocks are Hom(V/S,Q), Hom(S,Q) and Hom(S,V/S), in that order.
+    column's position (the eta criterion).  The three blocks Hom(V/S,Q),
+    Hom(S,Q) and Hom(S,V/S) (upper left, upper right, lower right) are the
+    ``hat_X`` patterns of the (0,1), (0,2) and (1,2) substrings.
     """
     if sigma.k != 2:
         raise ValueError("two-step model needs a 012-string")
@@ -238,20 +184,13 @@ def hat_Y(sigma: StepString, d: int, r: int, n: int) -> TwoStepModel:
         )
     eta = eta_word(sigma)
     q, m = n - r, r - d  # quotient rows, middle size
-    free = set()
-    for j in range(1, n - d + 1):
-        for k in range(1, r + 1):
-            if j > q and k <= m:
-                continue  # lower-left block: not in the model
-            if eta[j - 1] < eta[q + k - 1]:
-                free.add((j, k))
-    full = PatternSpace(n - d, r, frozenset(free))
-    ul = PatternSpace(q, m, frozenset((j, k) for (j, k) in free if j <= q and k <= m))
-    ur = PatternSpace(q, d, frozenset((j, k - m) for (j, k) in free if j <= q and k > m))
-    lr = PatternSpace(
-        m, d, frozenset((j - q, k - m) for (j, k) in free if j > q and k > m)
+    return frozenset(
+        (j, k)
+        for j in range(1, n - d + 1)
+        for k in range(1, r + 1)
+        if not (j > q and k <= m)  # lower-left block: not in the model
+        and eta[j - 1] < eta[q + k - 1]
     )
-    return TwoStepModel(full, (ul, ur, lr))
 
 
 def tangent_equations(
@@ -489,9 +428,9 @@ def opposite_cells(
     return frozenset(flipped)
 
 
-def render_pattern(ps: PatternSpace) -> str:
-    """Free cells as '*', on the two-step grid with d = r = cols (no lower-left block)."""
-    return render_cells([ps.free], ps.cols, ps.cols, ps.rows + ps.cols, symbols="*")
+def render_pattern(lam: Partition) -> str:
+    """The ``hat_X`` pattern of lam as '*', on the cap x r grid."""
+    return render_cells([hat_X(lam)], lam.r, lam.r, lam.n, symbols="*")
 
 
 def render_cells(
@@ -526,13 +465,15 @@ def render_cells(
 
 
 def render_overlay(
-    first: StepString, second: StepString, d: int, r: int, n: int
+    first: frozenset[tuple[int, int]],
+    second: frozenset[tuple[int, int]],
+    d: int,
+    r: int,
+    n: int,
 ) -> str:
-    """Two-class block table: the first class's pattern overlaid with the
-    second class's pattern relative to the opposite flag (flipped blocks)."""
-    cells1 = hat_Y(first, d, r, n).full.free
-    cells2 = opposite_cells(hat_Y(second, d, r, n).full.free, d, r, n)
-    return render_cells([cells1, cells2], d, r, n)
+    """Two-class block table: the first pattern overlaid with the second
+    pattern relative to the opposite flag (flipped blocks)."""
+    return render_cells([first, opposite_cells(second, d, r, n)], d, r, n)
 
 
 def two_step_translate(
@@ -553,7 +494,7 @@ def two_step_translate(
     equals the cell dimension of sigma.
     """
     check_prime(p)
-    model = hat_Y(sigma, d, r, n)
+    cells = hat_Y(sigma, d, r, n)
     q, m = n - r, r - d
     rng = random.Random(derive_seed(seed, "two-step", sigma.word))
 
@@ -579,7 +520,7 @@ def two_step_translate(
 
     ambient = (n - d) * r
     vectors = []
-    for (j, k) in sorted(model.full.free):
+    for (j, k) in sorted(cells):
         col = g.column(j - 1)  # image of the cell's row basis vector
         rowv = ginv.data[q + k - 1]  # dual of the cell's column basis vector
         vec = [0] * ambient
@@ -593,9 +534,9 @@ def two_step_translate(
                 vec[(jj - 1) * r + (kk - 1)] = cj * rowv[q + kk - 1] % p
         vectors.append(tuple(vec))
     translate = Subspace.from_spanning(vectors, ambient, p)
-    if translate.dim != model.dim:
+    if translate.dim != len(cells):
         raise RuntimeError(
             f"translate has dimension {translate.dim}, "
-            f"not the cell dimension {model.dim}"
+            f"not the cell dimension {len(cells)}"
         )
     return translate

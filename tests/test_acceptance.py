@@ -168,8 +168,7 @@ def test_criterion_6_combinatorial_identities():
                             lam.parts[pos - 1] for pos in rho.positions(1)
                         )
                     if 0 < d < r < n:
-                        model = hat_Y(sigma, d, r, n)
-                        assert len(model.full.free) == cell_dimension(sigma)
+                        assert len(hat_Y(sigma, d, r, n)) == cell_dimension(sigma)
                     strings += 1
     # partition <-> string round-trip, exhaustively up to 12 boxes of border
     round_trips = 0

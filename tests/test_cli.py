@@ -11,7 +11,7 @@ import pytest
 from hornkit import cli
 from hornkit.exactla import is_prime
 from hornkit.strings import StepString, string_to_partition
-from hornkit.tangent import hat_X, hat_Y, render_pattern
+from hornkit.tangent import render_pattern
 from hornkit.witness import GenericityExhausted
 
 MID = "0,3,3/3x4 ; 1,3,3/3x4"
@@ -325,7 +325,7 @@ def test_diagram_01_word_matches_partition_form(capsys):
     _, from_parts, _ = run(capsys, ["diagram", "0,3,3/3x4"])
     assert from_word == from_parts
     lam = string_to_partition(StepString("1000110", 1))
-    assert from_word == render_pattern(hat_X(lam)) + "\n"
+    assert from_word == render_pattern(lam) + "\n"
 
 
 def test_diagram_012_word_with_blocks(capsys):
@@ -341,12 +341,19 @@ def test_diagram_012_word_with_blocks(capsys):
         "   .*",
         "   ..",
     ]
-    model = hat_Y(StepString("021010201", 2), 2, 5, 9)
-    expected_blocks = "".join(
-        f"\n{name}:\n{render_pattern(block)}\n"
-        for name, block in zip(("01", "02", "12"), model.blocks)
-    )
-    assert out == "\n".join(lines[:7]) + "\n" + expected_blocks
+    assert lines[7:] == [
+        "", "01:", "***", ".**", "..*", "..*",
+        "", "02:", "**", ".*", ".*", "..",
+        "", "12:", ".*", ".*", "..",
+    ]
+
+
+def test_diagram_012_word_without_1_is_its_01_string(capsys):
+    # d = r: the two-step grid is the one-step grid of the word, '2' as '1'
+    for word, as_01 in (("202", "101"), ("200020", "100010")):
+        code, out, _ = run(capsys, ["diagram", word])
+        assert code == 0
+        assert (code, out) == run(capsys, ["diagram", as_01])[:2]
 
 
 def test_diagram_shape_validation(capsys):

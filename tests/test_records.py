@@ -11,13 +11,7 @@ import pytest
 from hornkit.exactla import Mat, Subspace, rref
 from hornkit.horn import HornInequality, Verdict, Violation
 from hornkit.strings import Partition, StepString
-from hornkit.tangent import (
-    FlagModel,
-    PatternSpace,
-    TransversalityReport,
-    TwoStepModel,
-    hat_Y,
-)
+from hornkit.tangent import FlagModel, TransversalityReport
 from hornkit.witness import WitnessLevel, WitnessTrace, find_witness
 
 PAIR = (Partition((0, 2), 2), Partition((1, 1), 2))
@@ -38,12 +32,8 @@ def _build(cls):
         return Mat(((1, 9), (3, 4)), 7)
     if cls is Subspace:
         return Subspace(3, 7, ((1, 0, 0),))
-    if cls is PatternSpace:
-        return PatternSpace(2, 2, {(1, 1), (2, 1)})
     if cls is FlagModel:
         return FlagModel(Mat(((0, 1), (1, 0)), 7))
-    if cls is TwoStepModel:
-        return hat_Y(StepString("0122", 2), 2, 3, 4)
     if cls is TransversalityReport:
         return TransversalityReport(False, 1, 0)
     if cls is HornInequality:
@@ -64,9 +54,7 @@ RECORDS = (
     StepString,
     Mat,
     Subspace,
-    PatternSpace,
     FlagModel,
-    TwoStepModel,
     TransversalityReport,
     HornInequality,
     Violation,
@@ -117,9 +105,6 @@ def test_repr_examples():
     assert repr(Verdict(True, "lr-oracle")) == (
         "Verdict(nonzero=True, method='lr-oracle', violated=None)"
     )
-    assert repr(_build(PatternSpace)) == (
-        "PatternSpace(rows=2, cols=2, free=frozenset({(1, 1), (2, 1)}))"
-    )
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -148,8 +133,6 @@ def test_normalisation():
     with pytest.raises(ValueError, match="'0' is not an integer"):
         Partition(["0", 2.0, 2], 2)
     assert Mat(((1, 9), (-1, 4)), 7).data == ((1, 2), (6, 4))
-    free = PatternSpace(2, 2, [(1, 1), (1, 1)]).free
-    assert type(free) is frozenset and free == {(1, 1)}
 
 
 def test_flag_model_keeps_its_inverse_out_of_the_value():
@@ -181,8 +164,10 @@ def test_flag_model_keeps_its_inverse_out_of_the_value():
         (lambda: StepString("01", 0), ValueError, "must be >= 1"),
         (lambda: StepString("01", 10), ValueError, "single digit"),
         (lambda: StepString("0121", 1), ValueError, "letters outside 0..1"),
+        # a list would be stored as given, unhashable and unequal to the str
+        (lambda: StepString(["0", "1"], 1), ValueError, r"\['0', '1'\] is not a str"),
+        (lambda: StepString(101, 1), ValueError, "101 is not a str"),
         (lambda: Mat(((1, 2), (3,)), 7), ValueError, "ragged rows"),
-        (lambda: PatternSpace(2, 2, {(3, 1)}), ValueError, "outside 2x2 grid"),
         (lambda: FlagModel(Mat(((1, 2),), 7)), ValueError, "must be square"),
         (lambda: FlagModel(Mat(((1, 2), (2, 4)), 7)), ValueError, "must be invertible"),
         (

@@ -29,7 +29,6 @@ from hornkit.strings import (
 )
 from hornkit.tangent import (
     FlagModel,
-    PatternSpace,
     X_from_flags,
     eta_word,
     generic_tangents,
@@ -51,35 +50,50 @@ from hornkit.tangent import (
 P = DEFAULT_PRIME
 
 
+def _pattern_subspace(cells, rows, cols, p=P):
+    """The coordinate subspace of F_p^(rows*cols) spanned by the free cells,
+    vectorized row-major."""
+    ambient = rows * cols
+    vectors = []
+    for (a, b) in sorted(cells):
+        vec = [0] * ambient
+        vec[(a - 1) * cols + (b - 1)] = 1
+        vectors.append(tuple(vec))
+    return Subspace.from_spanning(vectors, ambient, p)
+
+
+def _draw(cells, rows, cols):
+    """Free cells as '*' on a rows x cols grid, as ``render_pattern`` draws."""
+    return render_cells([cells], cols, cols, rows + cols, symbols="*")
+
+
 # --- hat_X pattern fixtures ---------------------------------------------------
 
 
 def test_hat_X_printed_fixture():
-    ps = hat_X(Partition((0, 1, 3, 3), 5))
-    assert render_pattern(ps) == "\n".join(
+    lam = Partition((0, 1, 3, 3), 5)
+    cells = hat_X(lam)
+    assert render_pattern(lam) == "\n".join(
         [".***",
          "..**",
          "..**",
          "....",
          "...."]
     )
-    assert ps.column_counts() == (0, 1, 3, 3)
-    assert ps.dim == 7
+    assert tuple(sum(b == j for _, b in cells) for j in range(1, 5)) == (0, 1, 3, 3)
+    assert len(cells) == 7
 
 
 def test_hat_X_extremes():
-    assert hat_X(Partition((0, 0), 3)).dim == 0
+    assert hat_X(Partition((0, 0), 3)) == frozenset()
     full = hat_X(Partition((3, 3), 3))
-    assert full.dim == 6 and full.free == frozenset(
-        (a, b) for a in (1, 2, 3) for b in (1, 2)
-    )
+    assert full == frozenset((a, b) for a in (1, 2, 3) for b in (1, 2))
 
 
 def test_opposite_pattern_printed_fixture():
     # mu = (3,3,3,5) drawn against the opposite flag: the grid rotates 180°
-    cells = opposite_cells(hat_X(Partition((3, 3, 3, 5), 5)).free, 4, 4, 9)
-    ps = PatternSpace(5, 4, cells)
-    assert render_pattern(ps) == "\n".join(
+    cells = opposite_cells(hat_X(Partition((3, 3, 3, 5), 5)), 4, 4, 9)
+    assert _draw(cells, 5, 4) == "\n".join(
         ["*...",
          "*...",
          "****",
@@ -89,9 +103,9 @@ def test_opposite_pattern_printed_fixture():
 
 
 def test_pattern_subspace_roundtrip():
-    ps = hat_X(Partition((1, 2), 3))
-    sub = ps.subspace(P)
-    assert sub.dim == ps.dim
+    cells = hat_X(Partition((1, 2), 3))
+    sub = _pattern_subspace(cells, 3, 2)
+    assert sub.dim == len(cells)
     # row-major vectorization: cell (a, b) -> coordinate (a-1)*cols + (b-1)
     vec = [0] * 6
     vec[(1 - 1) * 2 + (1 - 1)] = 1
@@ -105,15 +119,15 @@ def test_X_standard_flags_equals_pattern():
     lam = Partition((0, 1, 3, 3), 5)
     std_src = FlagModel.standard(4, P)
     std_dst = FlagModel.standard(5, P)
-    assert X_from_flags(lam, std_src, std_dst) == hat_X(lam).subspace(P)
+    assert X_from_flags(lam, std_src, std_dst) == _pattern_subspace(hat_X(lam), 5, 4)
 
 
 def test_X_opposite_flags_equals_flipped_pattern():
     mu = Partition((3, 3, 3, 5), 5)
     opp_src = FlagModel.opposite(4, P)
     opp_dst = FlagModel.opposite(5, P)
-    flipped = PatternSpace(5, 4, opposite_cells(hat_X(mu).free, 4, 4, 9))
-    assert X_from_flags(mu, opp_src, opp_dst) == flipped.subspace(P)
+    flipped = opposite_cells(hat_X(mu), 4, 4, 9)
+    assert X_from_flags(mu, opp_src, opp_dst) == _pattern_subspace(flipped, 5, 4)
 
 
 def test_opposite_intersection_printed_fixture():
@@ -123,8 +137,7 @@ def test_opposite_intersection_printed_fixture():
     a = X_from_flags(lam, FlagModel.standard(4, P), FlagModel.standard(5, P))
     b = X_from_flags(mu, FlagModel.opposite(4, P), FlagModel.opposite(5, P))
     meet = intersect([a, b])
-    expected = PatternSpace(5, 4, frozenset({(3, 3), (3, 4)}))
-    assert meet == expected.subspace(P)
+    assert meet == _pattern_subspace({(3, 3), (3, 4)}, 5, 4)
     assert meet.dim == 2  # codim 18, expected codim 19
 
 
@@ -300,10 +313,21 @@ def test_eta_printed_fixture():
     assert eta_word(StepString("021010201", 2)) == (1, 4, 6, 8, 3, 5, 9, 2, 7)
 
 
+def _blocks(cells, d, r, n):
+    """A two-step pattern cut into its upper-left, upper-right and
+    lower-right blocks, each in its own 1-based coordinates."""
+    q, m = n - r, r - d
+    return (
+        frozenset((j, k) for (j, k) in cells if j <= q and k <= m),
+        frozenset((j, k - m) for (j, k) in cells if j <= q and k > m),
+        frozenset((j - q, k - m) for (j, k) in cells if j > q and k > m),
+    )
+
+
 def test_hat_Y_printed_fixture():
-    model = hat_Y(StepString("021010201", 2), 2, 5, 9)
-    assert model.dim == 13 == cell_dimension(StepString("021010201", 2))
-    assert render_cells([model.full.free], 2, 5, 9, symbols="*") == "\n".join(
+    cells = hat_Y(StepString("021010201", 2), 2, 5, 9)
+    assert len(cells) == 13 == cell_dimension(StepString("021010201", 2))
+    assert render_cells([cells], 2, 5, 9, symbols="*") == "\n".join(
         ["*****",
          ".**.*",
          "..*.*",
@@ -315,24 +339,22 @@ def test_hat_Y_printed_fixture():
 
 
 def test_blocks_printed_fixture():
-    model = hat_Y(StepString("021010201", 2), 2, 5, 9)
-    b01, b02, b12 = model.blocks
-    assert render_pattern(b01) == "***\n.**\n..*\n..*"
-    assert render_pattern(b02) == "**\n.*\n.*\n.."
-    assert render_pattern(b12) == ".*\n.*\n.."
+    b01, b02, b12 = _blocks(hat_Y(StepString("021010201", 2), 2, 5, 9), 2, 5, 9)
+    assert _draw(b01, 4, 3) == "***\n.**\n..*\n..*"
+    assert _draw(b02, 4, 2) == "**\n.*\n.*\n.."
+    assert _draw(b12, 3, 2) == ".*\n.*\n.."
     # per-column star counts read off the printed blocks
-    assert b01.column_counts() == (1, 2, 4)
-    assert b02.column_counts() == (1, 3)
-    assert b12.column_counts() == (0, 2)
+    for block, cols, counts in ((b01, 3, (1, 2, 4)), (b02, 2, (1, 3)), (b12, 2, (0, 2))):
+        assert tuple(sum(b == j for _, b in block) for j in range(1, cols + 1)) == counts
 
 
 def test_hat_Y_extremes():
     # weakly increasing string: dense cell, every in-grid cell free
     dense = hat_Y(StepString("001122", 2), 2, 4, 6)
-    assert dense.dim == dense.full.rows * dense.full.cols - 2 * 2
+    assert len(dense) == 4 * 4 - 2 * 2
     # weakly decreasing string: the single point, no free cells
     point = hat_Y(StepString("221100", 2), 2, 4, 6)
-    assert point.dim == 0
+    assert point == frozenset()
 
 
 def test_blocks_equal_substring_patterns_exhaustive():
@@ -341,19 +363,13 @@ def test_blocks_equal_substring_patterns_exhaustive():
             for r in range(d + 1, n):
                 for word in all_step_words((n - r, r - d, d)):
                     sigma = StepString(word, 2)
-                    model = hat_Y(sigma, d, r, n)
-                    b01, b02, b12 = model.blocks
-                    assert b01.free == hat_X(
-                        string_to_partition(substring_uv(sigma, 0, 1))
-                    ).free
-                    assert b02.free == hat_X(
-                        string_to_partition(substring_uv(sigma, 0, 2))
-                    ).free
-                    assert b12.free == hat_X(
-                        string_to_partition(substring_uv(sigma, 1, 2))
-                    ).free
-                    assert model.dim == b01.dim + b02.dim + b12.dim
-                    assert model.dim == cell_dimension(sigma)
+                    cells = hat_Y(sigma, d, r, n)
+                    blocks = _blocks(cells, d, r, n)
+                    for block, (u, v) in zip(blocks, ((0, 1), (0, 2), (1, 2))):
+                        lam = string_to_partition(substring_uv(sigma, u, v))
+                        assert block == hat_X(lam)
+                    assert len(cells) == sum(map(len, blocks))
+                    assert len(cells) == cell_dimension(sigma)
 
 
 def test_hat_Y_count_mismatch():
@@ -575,7 +591,7 @@ def _two_step_translate_reference(sigma, d, r, n, seed, p):
     """``two_step_translate`` as it was when it rank-checked each diagonal
     block of its sampled g: same draws, then the same conjugate-and-project
     step."""
-    model = hat_Y(sigma, d, r, n)
+    cells = hat_Y(sigma, d, r, n)
     q, m = n - r, r - d
     rng = random.Random(derive_seed(seed, "two-step", sigma.word))
     sizes = (q, m, d)
@@ -607,7 +623,7 @@ def _two_step_translate_reference(sigma, d, r, n, seed, p):
     g = Mat(entries, p)
     ginv = g.inverse()
     vectors = []
-    for (j, k) in sorted(model.full.free):
+    for (j, k) in sorted(cells):
         col = g.column(j - 1)
         rowv = ginv.data[q + k - 1]
         vec = [0] * ((n - d) * r)
@@ -712,7 +728,8 @@ def test_splitting_battery():
 def test_render_overlay_first_example_level():
     first = StepString("2000120", 2)
     second = StepString("0200120", 2)
-    assert render_overlay(first, second, 2, 3, 7) == "\n".join(
+    overlay = render_overlay(hat_Y(first, 2, 3, 7), hat_Y(second, 2, 3, 7), 2, 3, 7)
+    assert overlay == "\n".join(
         ["*.*",
          "#+*",
          "#+*",
@@ -721,43 +738,36 @@ def test_render_overlay_first_example_level():
     )
 
 
-def _render_pattern_reference(ps):
+def _render_pattern_reference(cells, rows, cols):
     """``render_pattern``'s own loop, before it drew through ``render_cells``."""
     return "\n".join(
-        "".join("*" if (a, b) in ps.free else "." for b in range(1, ps.cols + 1))
-        for a in range(1, ps.rows + 1)
+        "".join("*" if (a, b) in cells else "." for b in range(1, cols + 1))
+        for a in range(1, rows + 1)
     )
 
 
 def test_render_pattern_matches_its_own_loop():
-    # every hat_X up to 4 x 4, the blocks of every hat_Y with n <= 6, and
-    # random cell sets, empty grids included
-    patterns = [
-        hat_X(lam) for r in range(5) for cap in range(5) for lam in all_partitions(r, cap)
-    ]
-    for n in range(3, 7):
-        for d in range(1, n - 1):
-            for r in range(d + 1, n):
-                for word in all_step_words((n - r, r - d, d)):
-                    patterns.extend(hat_Y(StepString(word, 2), d, r, n).blocks)
+    # every hat_X up to 4 x 4, and random cell sets, empty grids included
+    for r in range(5):
+        for cap in range(5):
+            for lam in all_partitions(r, cap):
+                assert render_pattern(lam) == _render_pattern_reference(hat_X(lam), cap, r)
     rng = random.Random(10)
     for _ in range(200):
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
         cells = [(a, b) for a in range(1, rows + 1) for b in range(1, cols + 1)]
-        patterns.append(PatternSpace(rows, cols, frozenset(c for c in cells if rng.random() < 0.5)))
-    for ps in patterns:
-        assert render_pattern(ps) == _render_pattern_reference(ps), ps
+        free = frozenset(c for c in cells if rng.random() < 0.5)
+        assert _draw(free, rows, cols) == _render_pattern_reference(free, rows, cols)
 
 
 def test_render_cells_blank_lower_left():
-    model = hat_Y(StepString("021010201", 2), 2, 5, 9)
-    art = render_cells([model.full.free], 2, 5, 9)
+    art = render_cells([hat_Y(StepString("021010201", 2), 2, 5, 9)], 2, 5, 9)
     rows = art.split("\n")
     assert all(row[:3] == "   " for row in rows[4:])
 
 
 def test_opposite_cells_involution():
-    model = hat_Y(StepString("0211020", 2), 2, 4, 7)
-    once = opposite_cells(model.full.free, 2, 4, 7)
+    cells = hat_Y(StepString("0211020", 2), 2, 4, 7)
+    once = opposite_cells(cells, 2, 4, 7)
     twice = opposite_cells(once, 2, 4, 7)
-    assert twice == model.full.free
+    assert twice == cells
