@@ -99,6 +99,7 @@ def is_prime(m: int) -> bool:
 def check_prime(p: int) -> None:
     """Raise ValueError unless p is prime: F_p must be a field.  Beyond 64
     bits is_prime is not exact, so p must also lie below 2**64."""
+    p = integer(p)
     try:
         prime = is_prime(p)
     except ValueError:

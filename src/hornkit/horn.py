@@ -52,7 +52,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from ._record import Record, setfield
 from .exactla import DEFAULT_PRIME, check_prime
 from .strings import Partition
-from .tangent import TransversalityReport, transversality_verdict
+from .tangent import TransversalityReport, _check_trials, transversality_verdict
 
 __all__ = [
     "HornInequality",
@@ -487,6 +487,7 @@ def numeric_verdict(
     _check_box(lams, r, n)
     if not lams:  # the empty product is the unit class
         check_prime(p)
+        _check_trials(trials)
         return Verdict(True, "numeric")
     report: TransversalityReport = transversality_verdict(lams, seed, trials, p)
     return Verdict(report.nonzero, "numeric")

@@ -85,6 +85,7 @@ class StepString(Record):
     def __init__(self, word: str, k: int) -> None:
         if not isinstance(word, str):
             raise ValueError(f"word {word!r} is not a str")
+        k = integer(k)
         if k < 1:
             raise ValueError(f"alphabet bound k must be >= 1, got {k}")
         if k > 9:

@@ -29,12 +29,14 @@ coordinates from that stored inverse.
 
 Vanishing of a product of Schubert classes is decided numerically by
 intersecting seeded random translates of these tangent models over a big
-prime field: the product is nonzero exactly when the intersection
-dimension equals the (possibly negative) virtual dimension
-sum |lam_i| - (s-1) * r * (n-r).  An intersection can never fall below
-the virtual dimension, and random special position only inflates it, so
-the minimum over a few trials decides exactly with overwhelming
-probability.
+prime field.  ``_random_system`` draws one flag pair per class and stacks
+the classes' equations; the verdict reads the rank of that system, and
+the kernel descent (``hornkit.witness``) its nullspace.  The product is
+nonzero exactly when the intersection dimension equals the (possibly
+negative) virtual dimension sum |lam_i| - (s-1) * r * (n-r).  An
+intersection can never fall below the virtual dimension, and random
+special position only inflates it, so the minimum over a few trials
+decides exactly with overwhelming probability.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 
-from ._record import Record, setfield
+from ._record import Record, integer, setfield
 from .exactla import (
     DEFAULT_PRIME,
     Mat,
@@ -176,8 +178,8 @@ def hat_Y(sigma: StepString, d: int, r: int, n: int) -> frozenset[tuple[int, int
     """
     if sigma.k != 2:
         raise ValueError("two-step model needs a 012-string")
-    if not 0 < d < r < n:
-        raise ValueError(f"need 0 < d < r < n, got {(d, r, n)}")
+    if not 0 < d < r <= n:
+        raise ValueError(f"need 0 < d < r <= n, got {(d, r, n)}")
     if sigma.counts != (n - r, r - d, d):
         raise ValueError(
             f"letter counts {sigma.counts} do not match shape {(n - r, r - d, d)}"
@@ -235,32 +237,37 @@ def X_from_flags(lam: Partition, f_src: FlagModel, f_dst: FlagModel) -> Subspace
 
 def tangents_with_flags(
     lams: Sequence[Partition], flag_pairs: Sequence[tuple[FlagModel, FlagModel]]
-) -> list[list[tuple[int, ...]]]:
-    """One tangent equation list per class, from explicitly given (src, dst) flags."""
+) -> list[tuple[int, ...]]:
+    """The classes' tangent equations from given (src, dst) flags, stacked in order."""
     if len(lams) != len(flag_pairs):
         raise ValueError("one flag pair per partition required")
-    return [tangent_equations(lam, fs, fd) for lam, (fs, fd) in zip(lams, flag_pairs)]
+    return [row for lam, fp in zip(lams, flag_pairs) for row in tangent_equations(lam, *fp)]
 
 
-def _random_flag_pair(
-    r: int, cap: int, seed: int, p: int
-) -> tuple[FlagModel, FlagModel]:
-    src = FlagModel.random(r, random.Random(derive_seed(seed, "src")), p)
-    dst = FlagModel.random(cap, random.Random(derive_seed(seed, "dst")), p)
-    return src, dst
+def _random_system(
+    lams: Sequence[Partition], labels: Sequence[tuple], p: int
+) -> tuple[tuple[tuple[FlagModel, FlagModel], ...], list[tuple[int, ...]]]:
+    """Draw a random (src, dst) flag pair per class, seeded by labels[i] and
+    "src" or "dst", and stack the classes' tangent equations (reduced mod p,
+    r * cap long): the one system the verdict and the descent both solve."""
+    pairs = tuple(
+        (
+            FlagModel.random(lam.r, random.Random(derive_seed(*label, "src")), p),
+            FlagModel.random(lam.cap, random.Random(derive_seed(*label, "dst")), p),
+        )
+        for lam, label in zip(lams, labels)
+    )
+    return pairs, tangents_with_flags(lams, pairs)
 
 
 def generic_tangents(
     lams: Sequence[Partition], seed: int = 0, p: int = DEFAULT_PRIME
-) -> list[list[tuple[int, ...]]]:
-    """Tangent equations from independent seeded random flags, one list per class."""
+) -> list[tuple[int, ...]]:
+    """Stacked tangent equations from independent seeded random flags."""
     _common_box(lams)
     check_prime(p)
-    pairs = [
-        _random_flag_pair(lam.r, lam.cap, derive_seed(seed, "tangents", i), p)
-        for i, lam in enumerate(lams)
-    ]
-    return tangents_with_flags(lams, pairs)
+    labels = [(derive_seed(seed, "tangents", i),) for i in range(len(lams))]
+    return _random_system(lams, labels, p)[1]
 
 
 def _common_box(lams: Sequence[Partition]) -> tuple[int, int]:
@@ -270,6 +277,13 @@ def _common_box(lams: Sequence[Partition]) -> tuple[int, int]:
     if any(lam.r != r or lam.cap != cap for lam in lams):
         raise ValueError("all partitions must share the same rectangle")
     return r, cap
+
+
+def _check_trials(trials: int) -> int:
+    trials = integer(trials)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    return trials
 
 
 class TransversalityReport(Record):
@@ -297,15 +311,13 @@ def transversality_verdict(
     """Decide vanishing of the class product by seeded exact intersections."""
     r, cap = _common_box(lams)
     check_prime(p)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _check_trials(trials)
     s = len(lams)
     expected = sum(lam.weight for lam in lams) - (s - 1) * r * cap
     achieved = None
     for t in range(trials):
-        equations = generic_tangents(lams, derive_seed(seed, "trial", t), p)
-        stacked = [row for rows in equations for row in rows]
-        dim = r * cap - len(_echelon(stacked, r * cap, p))
+        rows = generic_tangents(lams, derive_seed(seed, "trial", t), p)
+        dim = r * cap - len(_echelon(rows, r * cap, p))
         achieved = dim if achieved is None else min(achieved, dim)
         if achieved == expected:
             break  # cannot go lower: the virtual dimension is a hard floor

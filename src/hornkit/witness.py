@@ -9,8 +9,9 @@ descent ends when the intersection is {0}, where the pure dimension count
 is violated.  The descent is one walk down: carrying each class's
 positions through the kernels to the terminal level gives the index sets
 of a violated Horn inequality for the original classes, certified by
-explicit index-tracking strings.  Each level's intersection is one
-nullspace of the stacked tangent equations.
+explicit index-tracking strings.  Each level's intersection is the
+nullspace of the random tangent system that ``tangent`` also builds for
+the numeric verdict, with its seeds labelled by level and attempt.
 
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
@@ -29,6 +30,7 @@ from .exactla import (
     DEFAULT_PRIME,
     Mat,
     Subspace,
+    _nullspace,
     check_prime,
     derive_seed,
 )
@@ -41,7 +43,7 @@ from .strings import (
     string_to_partition,
     substring_uv,
 )
-from .tangent import FlagModel, schubert_position, tangents_with_flags
+from .tangent import _random_system, schubert_position
 
 __all__ = [
     "NonVanishingProduct",
@@ -203,17 +205,8 @@ def _levels(
     while True:
         for attempt in range(MAX_RETRIES):
             sub = derive_seed(seed, "witness-level", level_no, attempt)
-            flag_pairs = tuple(
-                (
-                    FlagModel.random(r, random.Random(derive_seed(sub, i, "src")), p),
-                    FlagModel.random(cap, random.Random(derive_seed(sub, i, "dst")), p),
-                )
-                for i in range(s)
-            )
-            equations = tangents_with_flags(lams, flag_pairs)
-            meet = Subspace.from_equations(
-                [row for rows in equations for row in rows], r * cap, p
-            )
+            flag_pairs, rows = _random_system(lams, [(sub, i) for i in range(s)], p)
+            meet = _nullspace(rows, r * cap, p)
             if meet.dim == 0:
                 # phi = 0: the kernel is the whole level space and the level's
                 # dimensional inequality is the violated one.

@@ -167,7 +167,7 @@ def test_criterion_6_combinatorial_identities():
                         assert mid.weight == sum(
                             lam.parts[pos - 1] for pos in rho.positions(1)
                         )
-                    if 0 < d < r < n:
+                    if 0 < d < r <= n:
                         assert len(hat_Y(sigma, d, r, n)) == cell_dimension(sigma)
                     strings += 1
     # partition <-> string round-trip, exhaustively up to 12 boxes of border

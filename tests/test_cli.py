@@ -356,6 +356,13 @@ def test_diagram_012_word_without_1_is_its_01_string(capsys):
         assert (code, out) == run(capsys, ["diagram", as_01])[:2]
 
 
+def test_diagram_012_word_without_0(capsys):
+    # r = n: no quotient rows, so only the Hom(S, V/S) block has cells
+    code, out, _ = run(capsys, ["diagram", "12"])
+    assert code == 0
+    assert out == " *\n\n01:\n\n\n02:\n\n\n12:\n*\n"
+
+
 def test_diagram_shape_validation(capsys):
     # the letter counts fix d, r, n, so there is no option to restate them
     assert run(capsys, ["diagram", "021010201", "--shape", "2,5,9"])[0] == 2

@@ -412,6 +412,13 @@ def test_check_prime_names_the_composite():
             check_prime(bad)
 
 
+def test_check_prime_refuses_a_non_integer():
+    # 7.0 == 7, so is_prime alone would accept it; pow() then refuses it
+    for bad, match in ((7.0, "7.0"), ("7", "'7'"), (None, "None")):
+        with pytest.raises(ValueError, match=f"{match} is not an integer"):
+            check_prime(bad)
+
+
 # The smallest strong pseudoprime to every base 2..37 (399165290221 *
 # 798330580441): is_prime's fixed bases call it prime, so p must stay below 2**64.
 PSEUDOPRIME_2_TO_37 = 318665857834031151167461

@@ -28,7 +28,7 @@ from hornkit.strings import (
     string_to_partition,
     substring_uv,
 )
-from hornkit.tangent import generic_tangents, two_step_translate
+from hornkit.tangent import generic_tangents, transversality_verdict, two_step_translate
 
 
 def _random_partition(rng, r, cap):
@@ -594,6 +594,25 @@ def test_numeric_verdict_rejects_composite_prime():
         generic_tangents(lams, p=4)
     with pytest.raises(ValueError, match="p = 4 "):
         two_step_translate(StepString("02101", 2), 1, 3, 5, p=4)
+
+
+def test_numeric_entry_points_read_p_and_trials_as_integers():
+    lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
+    with pytest.raises(ValueError, match="7.0 is not an integer"):
+        numeric_verdict(lams, 3, 7, p=7.0)
+    with pytest.raises(ValueError, match="7.0 is not an integer"):
+        transversality_verdict(lams, p=7.0)
+    with pytest.raises(ValueError, match="7.0 is not an integer"):
+        generic_tangents(lams, p=7.0)
+    for bad, match in ((2.5, "2.5 is not"), ("3", "'3' is not"), (0, "got 0")):
+        with pytest.raises(ValueError, match=match):
+            transversality_verdict(lams, trials=bad)
+        with pytest.raises(ValueError, match=match):
+            numeric_verdict(lams, 3, 7, trials=bad)
+        # the empty product checks trials as it checks p
+        with pytest.raises(ValueError, match=match):
+            numeric_verdict((), 3, 7, trials=bad)
+    assert numeric_verdict((), 3, 7, trials=1).nonzero
 
 
 def test_numeric_verdict_tags():

@@ -162,6 +162,8 @@ def test_flag_model_keeps_its_inverse_out_of_the_value():
         ),
         (lambda: rref([(1.5, 2)], 2, 7), ValueError, "1.5 is not an integer"),
         (lambda: StepString("01", 0), ValueError, "must be >= 1"),
+        (lambda: StepString("01", 1.5), ValueError, r"1\.5 is not an integer"),
+        (lambda: StepString("01", "1"), ValueError, "'1' is not an integer"),
         (lambda: StepString("01", 10), ValueError, "single digit"),
         (lambda: StepString("0121", 1), ValueError, "letters outside 0..1"),
         # a list would be stored as given, unhashable and unequal to the str

@@ -43,6 +43,7 @@ from hornkit.tangent import (
     render_pattern,
     schubert_position,
     tangent_equations,
+    tangents_with_flags,
     transversality_verdict,
     two_step_translate,
 )
@@ -177,6 +178,7 @@ def test_stacked_equations_cut_out_the_intersection(case):
     stacked = [
         row for lam, fp in zip(lams, pairs) for row in tangent_equations(lam, *fp)
     ]
+    assert tangents_with_flags(lams, pairs) == stacked
     spaces = [X_from_flags(lam, *fp) for lam, fp in zip(lams, pairs)]
     assert Subspace.from_equations(stacked, r * cap, p) == intersect(spaces)
 
@@ -214,9 +216,8 @@ def _reference_verdict(lams, seed, trials, p):
     expected = sum(lam.weight for lam in lams) - (len(lams) - 1) * r * cap
     achieved = None
     for t in range(trials):
-        equations = generic_tangents(lams, derive_seed(seed, "trial", t), p)
-        stacked = [row for rows in equations for row in rows]
-        dim = r * cap - len(rref(stacked, r * cap, p)[1])
+        rows = generic_tangents(lams, derive_seed(seed, "trial", t), p)
+        dim = r * cap - len(rref(rows, r * cap, p)[1])
         achieved = dim if achieved is None else min(achieved, dim)
         if achieved == expected:
             break
@@ -242,6 +243,21 @@ def test_verdict_matches_reduced_row_echelon_reference(case):
     assert transversality_verdict(lams, seed, trials, p) == _reference_verdict(
         lams, seed, trials, p
     )
+
+
+def test_generic_tangents_draws_pinned_flags():
+    """The verdict's draws, written out: class i's source and destination
+    flags are seeded by derive_seed(derive_seed(seed, "tangents", i), "src")
+    and likewise with "dst"."""
+    lams = (Partition((0, 1, 3), 3), Partition((1, 1, 2), 3), Partition((0, 2, 2), 3))
+    for seed, p in ((0, P), (5, 97)):
+        rows = []
+        for i, lam in enumerate(lams):
+            label = derive_seed(seed, "tangents", i)
+            src = FlagModel.random(lam.r, random.Random(derive_seed(label, "src")), p)
+            dst = FlagModel.random(lam.cap, random.Random(derive_seed(label, "dst")), p)
+            rows += tangent_equations(lam, src, dst)
+        assert generic_tangents(lams, seed, p) == rows
 
 
 def test_flag_vector_and_step_reject_bad_indices():
@@ -358,9 +374,9 @@ def test_hat_Y_extremes():
 
 
 def test_blocks_equal_substring_patterns_exhaustive():
-    for n in range(3, 8):
-        for d in range(1, n - 1):
-            for r in range(d + 1, n):
+    for n in range(2, 8):
+        for d in range(1, n):
+            for r in range(d + 1, n + 1):
                 for word in all_step_words((n - r, r - d, d)):
                     sigma = StepString(word, 2)
                     cells = hat_Y(sigma, d, r, n)
@@ -562,7 +578,7 @@ def test_transversality_negative_virtual_dimension():
 
 def test_generic_tangents_single():
     lam = Partition((1, 2), 3)
-    (rows,) = generic_tangents([lam], seed=7)
+    rows = generic_tangents([lam], seed=7)
     assert len(rows) == 3  # (3 - 1) + (3 - 2) destination steps to avoid
     assert Subspace.from_equations(rows, 6, P).dim == 3
 

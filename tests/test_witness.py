@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornkit.witness as witness
-from hornkit.exactla import DEFAULT_PRIME, Subspace, intersect
+from hornkit.exactla import DEFAULT_PRIME, Subspace, derive_seed, intersect
 from hornkit.horn import HornInequality, lr_oracle
 from hornkit.strings import (
     Partition,
@@ -20,7 +20,14 @@ from hornkit.strings import (
     lift,
     string_to_partition,
 )
-from hornkit.tangent import X_from_flags, induced_flag, quotient_pattern, schubert_position
+from hornkit.tangent import (
+    FlagModel,
+    X_from_flags,
+    induced_flag,
+    quotient_pattern,
+    schubert_position,
+    tangent_equations,
+)
 from hornkit.witness import (
     GenericityExhausted,
     NonVanishingProduct,
@@ -365,6 +372,9 @@ def test_verify_never_raises_on_mutated_trace(data):
 def test_find_witness_rejects_composite_prime():
     with pytest.raises(ValueError, match="91"):
         find_witness(MID_PAIR, 3, 7, p=91)
+    # 7.0 == 7 passes a primality test, then breaks pow() in the descent
+    with pytest.raises(ValueError, match="7.0 is not an integer"):
+        find_witness(MID_PAIR, 3, 7, p=7.0)
 
 
 # --- soundness sweep ---------------------------------------------------------------
@@ -451,6 +461,29 @@ def test_descent_blocks_are_transverse(lams, r, n):
         assert intersect(outer).dim == expected_outer
         checked += 1
     assert checked > 0
+
+
+def test_first_level_draws_pinned_flags():
+    """The descent's draws, written out: at level 1, attempt 0, class i's
+    flags are seeded by derive_seed(sub, i, "src") and derive_seed(sub, i,
+    "dst") with sub = derive_seed(seed, "witness-level", 1, 0), and the
+    level's intersection is cut out by their stacked tangent equations."""
+    r, n, p = 3, 7, DEFAULT_PRIME
+    for seed in (0, 1, 2):
+        _, flag_pairs, meet, _ = _descend_levels(MID_PAIR, r, n, seed)[0]
+        sub = derive_seed(seed, "witness-level", 1, 0)
+        pairs = tuple(
+            (
+                FlagModel.random(r, random.Random(derive_seed(sub, i, "src")), p),
+                FlagModel.random(n - r, random.Random(derive_seed(sub, i, "dst")), p),
+            )
+            for i in range(len(MID_PAIR))
+        )
+        assert flag_pairs == pairs
+        rows = [
+            row for lam, fp in zip(MID_PAIR, pairs) for row in tangent_equations(lam, *fp)
+        ]
+        assert meet == Subspace.from_equations(rows, r * (n - r), p)
 
 
 def test_kernel_position_stability():
