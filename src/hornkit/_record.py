@@ -1,9 +1,9 @@
 """Immutable value records, without importing ``dataclasses``.
 
 A record class lists its fields in ``__slots__``, in constructor order.
-Its ``__init__`` validates the arguments, stores each field with
-``setfield``, and stores the tuple of field values as ``_key``.  Any
-other slot whose name starts with ``_`` holds a cached value, not a field.
+``Record.__init__`` stores them, given by position then by name, and their
+tuple as ``_key``; a validating ``__init__`` ends by calling it.  Any other
+slot whose name starts with ``_`` holds a cached value, not a field.
 
 ``Record`` supplies the value semantics hornkit needs: equality between
 instances of the same class and a hash, both of ``_key`` alone; the
@@ -42,6 +42,20 @@ class Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs:
+            n = len(args)
+            args += tuple(kwargs.pop(name) for name in fields[n:] if name in kwargs)
+            for name in kwargs:
+                how = "twice" if name in fields[:n] else "as an unknown field"
+                raise TypeError(f"{self.__class__.__qualname__}() got {name!r} {how}")
+        if len(args) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {fields}, got {len(args)}")
+        for name, value in zip(fields, args):
+            setfield(self, name, value)
+        setfield(self, "_key", args)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -51,7 +51,7 @@ from operator import mul
 # The same object as hashlib.blake2b, without loading OpenSSL's _hashlib.
 from _blake2 import blake2b
 
-from ._record import Record, integer, setfield
+from ._record import Record, integer
 
 __all__ = [
     "DEFAULT_PRIME",
@@ -69,7 +69,9 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit integers; raises
-    ValueError for m >= 2**64, where its fixed bases are no proof."""
+    ValueError for m >= 2**64, where its fixed bases are no proof, and for
+    an m that ``integer`` refuses."""
+    m = integer(m)
     if m >= 1 << 64:
         raise ValueError(f"{m} is not below 2**64, where is_prime stops being exact")
     if m < 2:
@@ -236,18 +238,14 @@ class Mat(Record):
         data = tuple(tuple(integer(x) % p for x in row) for row in data)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
-        setfield(self, "data", data)
-        setfield(self, "p", p)
-        setfield(self, "_key", (data, p))
+        Record.__init__(self, data, p)
 
     @classmethod
     def _of_reduced(cls, data: Rows, p: int) -> "Mat":
         """A Mat of rows of equal length already reduced mod p, stored as
         given instead of reduced again."""
         m = cls.__new__(cls)
-        setfield(m, "data", data)
-        setfield(m, "p", p)
-        setfield(m, "_key", (data, p))
+        Record.__init__(m, data, p)
         return m
 
     @property
@@ -312,12 +310,6 @@ class Subspace(Record):
     """
 
     __slots__ = ("ambient_dim", "p", "basis")
-
-    def __init__(self, ambient_dim: int, p: int, basis: Rows) -> None:
-        setfield(self, "ambient_dim", ambient_dim)
-        setfield(self, "p", p)
-        setfield(self, "basis", basis)
-        setfield(self, "_key", (ambient_dim, p, basis))
 
     @classmethod
     def from_spanning(

@@ -49,7 +49,7 @@ import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 
-from ._record import Record, setfield
+from ._record import Record, integer
 from .exactla import DEFAULT_PRIME, check_prime
 from .strings import Partition
 from .tangent import TransversalityReport, _check_trials, transversality_verdict
@@ -90,11 +90,7 @@ class HornInequality(Record):
             expected = tuple(part + k for k, part in enumerate(mu.parts, start=1))
             if idx != expected:
                 raise ValueError(f"indices {idx} do not match mu {mu.parts}")
-        setfield(self, "d", d)
-        setfield(self, "mus", mus)
-        setfield(self, "indices", indices)
-        setfield(self, "rhs", rhs)
-        setfield(self, "_key", (d, mus, indices, rhs))
+        Record.__init__(self, d, mus, indices, rhs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,11 +135,6 @@ def _ints(value: object) -> tuple[int, ...]:
 class Violation(Record):
     __slots__ = ("inequality", "slack")
 
-    def __init__(self, inequality: HornInequality, slack: int) -> None:
-        setfield(self, "inequality", inequality)
-        setfield(self, "slack", slack)
-        setfield(self, "_key", (inequality, slack))
-
     def to_json_dict(self) -> dict:
         return {**self.inequality.to_json_dict(), "slack": self.slack}
 
@@ -154,16 +145,11 @@ class Verdict(Record):
 
     __slots__ = ("nonzero", "method", "violated")
 
-    def __init__(
-        self, nonzero: bool, method: str, violated: Violation | None = None
-    ) -> None:
+    def __init__(self, nonzero: bool, method: str, violated: Violation | None = None) -> None:
         if not nonzero and method == "horn-recursion":
             if violated is None or violated.slack >= 0:
                 raise ValueError("a zero horn verdict must carry a violation")
-        setfield(self, "nonzero", nonzero)
-        setfield(self, "method", method)
-        setfield(self, "violated", violated)
-        setfield(self, "_key", (nonzero, method, violated))
+        Record.__init__(self, nonzero, method, violated)
 
     def to_json_dict(self) -> dict:
         return {
@@ -173,12 +159,16 @@ class Verdict(Record):
         }
 
 
-def _check_box(lams: Sequence[Partition], r: int, n: int) -> None:
+def _check_box(lams: Sequence[Partition], r: int, n: int) -> tuple[int, int]:
+    """r and n read as integers, once the classes are checked to lie in
+    Lambda(r, n - r)."""
+    r, n = integer(r), integer(n)
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got ({r}, {n})")
     for lam in lams:
         if lam.r != r or lam.cap != n - r:
             raise ValueError(f"{lam} does not lie in Lambda({r}, {n - r})")
+    return r, n
 
 
 # One mu in Lambda(d, r-d): its parts, its weight, and its 0-based index
@@ -291,6 +281,7 @@ def _first_violation(
 def enumerate_horn(r: int, n: int, s: int) -> Iterator[HornInequality]:
     """All Horn inequalities for s classes on Gr(r, n), one per level d and
     per certified mu-tuple; d ascending, mu-tuples in lexicographic order."""
+    r, n, s = integer(r), integer(n), integer(s)
     if not 0 < r < n:
         raise ValueError(f"need 0 < r < n, got ({r}, {n})")
     if s < 1:
@@ -322,7 +313,7 @@ def horn_verdict(lams: Sequence[Partition], r: int, n: int) -> Verdict:
     """Nonzero iff every Horn inequality holds; reports the first violation
     in enumeration order otherwise."""
     lams = tuple(lams)
-    _check_box(lams, r, n)
+    r, n = _check_box(lams, r, n)
     if len(lams) <= 1 or r == 0 or r == n:
         return Verdict(True, "horn-recursion")
     found = _first_violation(tuple(lam.parts for lam in lams), r, n, {})
@@ -432,7 +423,7 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     (shape, last strip) states, and the last middle factor is walked depth
     first until one filling completes.  Independent of the Horn recursion."""
     lams = tuple(lams)
-    _check_box(lams, r, n)
+    r, n = _check_box(lams, r, n)
     if len(lams) <= 1:
         return True
     cap = n - r
@@ -484,8 +475,9 @@ def numeric_verdict(
 ) -> Verdict:
     """Randomized exact transversality test, re-tagged as a Verdict."""
     lams = tuple(lams)
-    _check_box(lams, r, n)
+    r, n = _check_box(lams, r, n)
     if not lams:  # the empty product is the unit class
+        integer(seed)
         check_prime(p)
         _check_trials(trials)
         return Verdict(True, "numeric")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from ._record import Record, integer, setfield
+from ._record import Record, integer
 
 __all__ = [
     "Partition",
@@ -56,9 +56,7 @@ class Partition(Record):
             raise ValueError(f"parts {parts} must lie in [0, {cap}]")
         if any(a > b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts {parts} must be weakly increasing")
-        setfield(self, "parts", parts)
-        setfield(self, "cap", cap)
-        setfield(self, "_key", (parts, cap))
+        Record.__init__(self, parts, cap)
 
     @property
     def r(self) -> int:
@@ -93,9 +91,7 @@ class StepString(Record):
         ok = set("0123456789"[: k + 1])
         if not set(word) <= ok:
             raise ValueError(f"word {word!r} has letters outside 0..{k}")
-        setfield(self, "word", word)
-        setfield(self, "k", k)
-        setfield(self, "_key", (word, k))
+        Record.__init__(self, word, k)
 
     @property
     def n(self) -> int:

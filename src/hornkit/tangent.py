@@ -99,8 +99,7 @@ class FlagModel(Record):
             inverse = matrix.inverse()
         except ValueError:
             raise ValueError("flag matrix must be invertible") from None
-        setfield(self, "matrix", matrix)
-        setfield(self, "_key", (matrix,))
+        Record.__init__(self, matrix)
         setfield(self, "_inverse", inverse)
 
     @property
@@ -265,6 +264,7 @@ def generic_tangents(
 ) -> list[tuple[int, ...]]:
     """Stacked tangent equations from independent seeded random flags."""
     _common_box(lams)
+    seed = integer(seed)
     check_prime(p)
     labels = [(derive_seed(seed, "tangents", i),) for i in range(len(lams))]
     return _random_system(lams, labels, p)[1]
@@ -295,12 +295,6 @@ class TransversalityReport(Record):
 
     __slots__ = ("nonzero", "achieved_dim", "expected_dim")
 
-    def __init__(self, nonzero: bool, achieved_dim: int, expected_dim: int) -> None:
-        setfield(self, "nonzero", nonzero)
-        setfield(self, "achieved_dim", achieved_dim)
-        setfield(self, "expected_dim", expected_dim)
-        setfield(self, "_key", (nonzero, achieved_dim, expected_dim))
-
 
 def transversality_verdict(
     lams: Sequence[Partition],
@@ -310,6 +304,7 @@ def transversality_verdict(
 ) -> TransversalityReport:
     """Decide vanishing of the class product by seeded exact intersections."""
     r, cap = _common_box(lams)
+    seed = integer(seed)
     check_prime(p)
     trials = _check_trials(trials)
     s = len(lams)
@@ -505,6 +500,7 @@ def two_step_translate(
     projection back onto the three blocks.  The translate's dimension
     equals the cell dimension of sigma.
     """
+    seed = integer(seed)
     check_prime(p)
     cells = hat_Y(sigma, d, r, n)
     q, m = n - r, r - d

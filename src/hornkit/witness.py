@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping, Sequence
 
-from ._record import Record, setfield
+from ._record import Record, integer
 from .exactla import (
     DEFAULT_PRIME,
     Mat,
@@ -80,28 +80,6 @@ class WitnessLevel(Record):
         "mus",
     )
 
-    def __init__(
-        self,
-        r: int,
-        n: int,
-        lams: tuple[Partition, ...],
-        phi_rank: int,
-        phi_nullity: int,
-        kernel_positions: tuple[str, ...],
-        lifted_strings: tuple[str, ...],
-        mus: tuple[Partition, ...],
-    ) -> None:
-        setfield(self, "r", r)
-        setfield(self, "n", n)
-        setfield(self, "lams", lams)
-        setfield(self, "phi_rank", phi_rank)
-        setfield(self, "phi_nullity", phi_nullity)
-        setfield(self, "kernel_positions", kernel_positions)
-        setfield(self, "lifted_strings", lifted_strings)
-        setfield(self, "mus", mus)
-        key = (r, n, lams, phi_rank, phi_nullity, kernel_positions, lifted_strings, mus)
-        setfield(self, "_key", key)
-
     @property
     def terminal(self) -> bool:
         return self.phi_nullity == self.r
@@ -121,19 +99,6 @@ class WitnessLevel(Record):
 
 class WitnessTrace(Record):
     __slots__ = ("levels", "final", "final_slack", "certificates")
-
-    def __init__(
-        self,
-        levels: tuple[WitnessLevel, ...],
-        final: HornInequality,
-        final_slack: int,
-        certificates: tuple[str, ...],
-    ) -> None:
-        setfield(self, "levels", levels)
-        setfield(self, "final", final)
-        setfield(self, "final_slack", final_slack)
-        setfield(self, "certificates", certificates)
-        setfield(self, "_key", (levels, final, final_slack, certificates))
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,8 +234,9 @@ def find_witness(
     consistent generic data (never a wrong certificate).
     """
     lams = tuple(lams)
-    _check_box(lams, r, n)
+    r, n = _check_box(lams, r, n)
     cap = n - r
+    seed = integer(seed)
     check_prime(p)
     if len(lams) < 2 or r == 0 or cap == 0:
         raise NonVanishingProduct("fewer than two proper classes cannot vanish")

@@ -417,6 +417,10 @@ def test_check_prime_refuses_a_non_integer():
     for bad, match in ((7.0, "7.0"), ("7", "'7'"), (None, "None")):
         with pytest.raises(ValueError, match=f"{match} is not an integer"):
             check_prime(bad)
+    # is_prime reads m the same way, so 7.0 and 11.0 are not called prime
+    for bad in (7.0, 11.0, "7"):
+        with pytest.raises(ValueError, match=f"{bad!r} is not an integer"):
+            is_prime(bad)
 
 
 # The smallest strong pseudoprime to every base 2..37 (399165290221 *

@@ -29,6 +29,7 @@ from hornkit.strings import (
     substring_uv,
 )
 from hornkit.tangent import generic_tangents, transversality_verdict, two_step_translate
+from hornkit.witness import find_witness
 
 
 def _random_partition(rng, r, cap):
@@ -134,6 +135,19 @@ def test_enumerate_rejects_bad_shapes():
         list(enumerate_horn(3, 3, 2))
     with pytest.raises(ValueError):
         list(enumerate_horn(2, 4, 0))
+    # shapes are read with operator.index, so a float is refused by name
+    for shape in ((2.0, 4, 2), (2, 4.0, 2), (2, 4, 2.0)):
+        with pytest.raises(ValueError, match=r"\.0 is not an integer"):
+            list(enumerate_horn(*shape))
+    assert list(enumerate_horn(True, 2, 2)) == list(enumerate_horn(1, 2, 2))
+
+
+def test_box_entry_points_read_r_and_n_as_integers():
+    lams = (Partition((0, 1), 2), Partition((0, 1), 2))
+    for decide in (horn_verdict, lr_oracle, numeric_verdict, find_witness):
+        for r, n in ((2.0, 4), (2, 4.0), ("2", 4)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                decide(lams, r, n)
 
 
 def _enumerate_reference(r, n, s):
@@ -613,6 +627,18 @@ def test_numeric_entry_points_read_p_and_trials_as_integers():
         with pytest.raises(ValueError, match=match):
             numeric_verdict((), 3, 7, trials=bad)
     assert numeric_verdict((), 3, 7, trials=1).nonzero
+    # a seed is read as an integer too: derive_seed would hash 1.0 apart from 1
+    for bad, match in ((1.0, "1.0 is not"), ("1", "'1' is not")):
+        for call in (
+            lambda: generic_tangents(lams, seed=bad),
+            lambda: transversality_verdict(lams, seed=bad),
+            lambda: numeric_verdict(lams, 3, 7, seed=bad),
+            lambda: numeric_verdict((), 3, 7, seed=bad),
+            lambda: two_step_translate(StepString("02101", 2), 1, 3, 5, seed=bad),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
+    assert generic_tangents(lams, seed=True) == generic_tangents(lams, seed=1)
 
 
 def test_numeric_verdict_tags():

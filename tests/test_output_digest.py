@@ -28,3 +28,9 @@ def test_digest_repeats_across_processes():
     assert _digest(*args) == first
     # a different draw gives a different digest, so it is not a constant
     assert _digest("--boxes", "4,8,3", "--rounds", "1", "--seed", "4") != first
+
+
+def test_default_digest_is_pinned():
+    # The default boxes and rounds at seed 0 cover every decider, the witness
+    # and the CLI; a change that alters outputs on purpose updates this pin.
+    assert _digest("--seed", "0") == "5a50d568181f449f396a604f04d067e4\n"

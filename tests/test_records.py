@@ -64,9 +64,12 @@ RECORDS = (
 )
 
 
+VALIDATING = (Partition, StepString, Mat, FlagModel, HornInequality, Verdict)
+
+
 def _fields(obj):
-    """Field values in constructor order, by the constructor's parameter names."""
-    return tuple(getattr(obj, name) for name in inspect.signature(type(obj)).parameters)
+    """Field values in constructor order, by the record's field names."""
+    return tuple(getattr(obj, name) for name in type(obj)._fields)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -83,17 +86,48 @@ def test_equal_arguments_give_equal_objects_and_hashes(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_constructor_takes_fields_by_position_and_keyword(cls):
     a = _build(cls)
-    names = inspect.signature(cls).parameters
     values = _fields(a)
     assert cls(*values) == a
-    assert cls(**dict(zip(names, values))) == a
+    assert cls(**dict(zip(cls._fields, values))) == a
+    assert cls(*values[:1], **dict(zip(cls._fields[1:], values[1:]))) == a
+
+
+def test_only_validating_records_define_a_constructor():
+    assert tuple(cls for cls in RECORDS if "__init__" in vars(cls)) == VALIDATING
+
+
+CONSTRUCTORS = [(cls, cls.__init__) for cls in VALIDATING] + [(Mat, Mat._of_reduced)]
+
+
+@pytest.mark.parametrize(
+    "cls, init", CONSTRUCTORS, ids=[init.__qualname__ for _, init in CONSTRUCTORS]
+)
+def test_validating_constructor_names_its_parameters_in_slot_order(cls, init):
+    names = tuple(name for name in inspect.signature(init).parameters if name != "self")
+    assert names == cls._fields
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, match",
+    [
+        ((3, 7, (), 0), {}, r"Subspace\(\) takes \('ambient_dim', 'p', 'basis'\), got 4"),
+        ((3, 7), {}, r"takes \('ambient_dim', 'p', 'basis'\), got 2"),
+        ((3,), {"basis": ()}, r"takes \('ambient_dim', 'p', 'basis'\), got 2"),
+        ((3, 7), {"p": 7, "basis": ()}, r"Subspace\(\) got 'p' twice"),
+        ((3, 7, ()), {"q": 1}, r"Subspace\(\) got 'q' as an unknown field"),
+        ((), {"ambient_dim": 3, "p": 7, "basis": (), "q": 1}, "'q' as an unknown field"),
+    ],
+    ids=["extra", "missing", "gap", "twice", "unknown", "unknown-by-name-only"],
+)
+def test_record_constructor_refuses_a_bad_binding(args, kwargs, match):
+    with pytest.raises(TypeError, match=match):
+        Subspace(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_repr_is_the_dataclass_format(cls):
     a = _build(cls)
-    names = inspect.signature(cls).parameters
-    body = ", ".join(f"{name}={getattr(a, name)!r}" for name in names)
+    body = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls._fields)
     assert repr(a) == f"{cls.__qualname__}({body})"
 
 
@@ -111,7 +145,7 @@ def test_repr_examples():
 def test_assignment_and_deletion_raise(cls):
     a = _build(cls)
     before = _fields(a)
-    for name in inspect.signature(cls).parameters:
+    for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(a, name, None)
         with pytest.raises(AttributeError):

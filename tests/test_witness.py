@@ -1,6 +1,5 @@
 """Kernel-descent witness search and independent certificate verification."""
 
-import inspect
 import itertools
 import json
 import pathlib
@@ -43,7 +42,7 @@ BIG_PAIR = (Partition((0, 2, 3, 3, 3, 4), 4), Partition((1, 1, 3, 3, 3, 3), 4))
 
 def _replace(obj, **changes):
     """Rebuild a record through its constructor with some fields changed."""
-    names = inspect.signature(type(obj)).parameters
+    names = type(obj)._fields
     assert set(changes) <= set(names), set(changes) - set(names)
     return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in names})
 
@@ -375,6 +374,9 @@ def test_find_witness_rejects_composite_prime():
     # 7.0 == 7 passes a primality test, then breaks pow() in the descent
     with pytest.raises(ValueError, match="7.0 is not an integer"):
         find_witness(MID_PAIR, 3, 7, p=7.0)
+    # a string seed would be hashed as a label instead of refused
+    with pytest.raises(ValueError, match="'1' is not an integer"):
+        find_witness(MID_PAIR, 3, 7, seed="1")
 
 
 # --- soundness sweep ---------------------------------------------------------------
