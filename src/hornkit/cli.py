@@ -18,13 +18,11 @@ and separated by ``';'``.  JSON goes to stdout, diagnostics to stderr.
 Exit codes: 0 nonzero / success, 10 product is zero, 2 bad input,
 3 witness requested for a nonzero product, 4 random sampling exhausted,
 1 internal disagreement, 141 (128 + SIGPIPE) stdout closed by its reader,
-as in ``hornkit inequalities 6 12 3 | head -2``.  Integer arguments and
-the environment variable HORNKIT_SEED, which supplies the default seed,
-are ASCII decimal integers (``-?[0-9]+``).
+as in ``hornkit inequalities 6 12 3 | head -2``.  Integer arguments are
+ASCII decimal integers (``-?[0-9]+``).
 
-``main`` resolves the seed (``--seed``, then HORNKIT_SEED, then 0) and
-refuses a bad ``--prime`` or ``--trials`` before any subcommand runs; each
-``cmd_*`` function then reads its flags from the parsed arguments alone.
+Flags follow the subcommand, and each subcommand takes only the flags it
+reads (``hornkit check --help``).  The command line is the only input.
 
 Start-up is part of every answer: a single ``check`` runs in a fresh
 process, so the package imports only the standard-library modules it
@@ -87,6 +85,16 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+def _prime(text: str) -> int:
+    """A ``--prime`` value: a decimal integer that ``check_prime`` accepts."""
+    p = _decimal(text)
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p
+
+
 def parse_classes(text: str) -> tuple[tuple[Partition, ...], int, int]:
     """Parse a ';'-separated list of classes sharing one rectangle."""
     chunks = [chunk.strip() for chunk in text.split(";")]
@@ -115,6 +123,8 @@ def _print_json(doc: dict) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise CLIError("--trials must be at least 1")
     lams, r, n = parse_classes(args.classes)
     wanted = ("horn", "lr", "numeric") if args.method == "all" else (args.method,)
     methods: dict[str, dict] = {}
@@ -309,35 +319,19 @@ def cmd_diagram(args: argparse.Namespace) -> int:
 # --- plumbing ----------------------------------------------------------------
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    # On subparsers the defaults are SUPPRESS so a flag given before the
-    # subcommand is not clobbered; real defaults live on the top parser.
-    d = (lambda v: v) if top else (lambda v: argparse.SUPPRESS)
-    parser.add_argument("--prime", type=_decimal, default=d(DEFAULT_PRIME),
-                        help="field characteristic for exact linear algebra")
-    parser.add_argument("--seed", type=_decimal, default=d(None),
-                        help="random seed (default: $HORNKIT_SEED, then 0)")
-    parser.add_argument("--trials", type=_decimal, default=d(3),
-                        help="independent flag samples for the numeric method")
-    parser.add_argument("--format", default=d("json"),
-                        choices=("json", "text", "diagram"),
-                        help="output format; with diagram, check and witness "
-                             "also draw tangent patterns and inequalities prints "
-                             "text (the diagram command always draws)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hornkit",
         description="Decide and certify vanishing of Schubert class products.",
     )
-    _add_run_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide vanishing of a class product")
     p_check.add_argument("classes", help='e.g. "0,1,3,3/4x5 ; 3,3,3,5/4x5"')
     p_check.add_argument("--method", default="all",
                          choices=("horn", "lr", "numeric", "all"))
+    p_check.add_argument("--trials", type=_decimal, default=3,
+                         help="independent flag samples for the numeric method")
     p_check.set_defaults(func=cmd_check)
 
     p_ineq = sub.add_parser("inequalities", help="list Horn inequalities")
@@ -345,29 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument("n", type=_decimal)
     p_ineq.add_argument("s", type=_decimal)
     p_ineq.add_argument("--limit", type=_decimal, default=None)
+    p_ineq.add_argument("--format", default="json", choices=("json", "text"),
+                        help="one JSON object or one text line per inequality")
     p_ineq.set_defaults(func=cmd_inequalities)
 
     p_wit = sub.add_parser("witness",
                            help="certify a vanishing product by kernel descent")
     p_wit.add_argument("classes")
     p_wit.set_defaults(func=cmd_witness)
+    for p in (p_check, p_wit):
+        p.add_argument("--prime", type=_prime, default=DEFAULT_PRIME,
+                       help="field characteristic for exact linear algebra")
+        p.add_argument("--seed", type=_decimal, default=0, help="random seed")
+        p.add_argument("--format", default="json",
+                       choices=("json", "text", "diagram"),
+                       help="output format; diagram also draws tangent patterns")
 
     p_diag = sub.add_parser("diagram", help="draw a tangent pattern")
     p_diag.add_argument("pattern", help="partition like 0,1,3,3/4x5 or a 012-string")
     p_diag.set_defaults(func=cmd_diagram)
-    for p in (p_check, p_ineq, p_wit, p_diag):
-        _add_run_flags(p, top=False)
     return parser
-
-
-def _seed_from_env() -> int:
-    raw = os.environ.get("HORNKIT_SEED")
-    if raw is None:
-        return 0
-    try:
-        return _decimal(raw)
-    except argparse.ArgumentTypeError:
-        raise CLIError(f"HORNKIT_SEED={raw!r} is not a decimal integer") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -378,14 +369,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_PARSE
     try:
-        if args.seed is None:
-            args.seed = _seed_from_env()
-        try:
-            check_prime(args.prime)
-        except ValueError as exc:
-            raise CLIError(f"--prime: {exc}") from None
-        if args.trials < 1:
-            raise CLIError("--trials must be at least 1")
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -225,6 +225,7 @@ def horn_indices(sigma: StepString) -> tuple[int, ...]:
 
 def all_partitions(r: int, cap: int) -> Iterator[Partition]:
     """All of Lambda(r, cap) in lexicographic order of the part tuples."""
+    r, cap = integer(r), integer(cap)
     for parts in itertools.combinations_with_replacement(range(cap + 1), r):
         yield Partition(parts, cap)
 

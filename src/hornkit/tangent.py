@@ -177,6 +177,7 @@ def hat_Y(sigma: StepString, d: int, r: int, n: int) -> frozenset[tuple[int, int
     """
     if sigma.k != 2:
         raise ValueError("two-step model needs a 012-string")
+    d, r, n = integer(d), integer(r), integer(n)
     if not 0 < d < r <= n:
         raise ValueError(f"need 0 < d < r <= n, got {(d, r, n)}")
     if sigma.counts != (n - r, r - d, d):
@@ -501,6 +502,7 @@ def two_step_translate(
     equals the cell dimension of sigma.
     """
     seed = integer(seed)
+    d, r, n = integer(d), integer(r), integer(n)
     check_prime(p)
     cells = hat_Y(sigma, d, r, n)
     q, m = n - r, r - d

@@ -28,7 +28,7 @@ from hornkit.strings import (
     string_to_partition,
     substring_uv,
 )
-from hornkit.tangent import generic_tangents, transversality_verdict, two_step_translate
+from hornkit.tangent import generic_tangents, hat_Y, transversality_verdict, two_step_translate
 from hornkit.witness import find_witness
 
 
@@ -639,6 +639,16 @@ def test_numeric_entry_points_read_p_and_trials_as_integers():
             with pytest.raises(ValueError, match=match):
                 call()
     assert generic_tangents(lams, seed=True) == generic_tangents(lams, seed=1)
+    # so are shape arguments: range() would raise a bare TypeError on a float
+    sigma = StepString("02101", 2)
+    for call, match in (
+        (lambda: hat_Y(sigma, 1, 3.0, 5), "3.0 is not"),
+        (lambda: two_step_translate(sigma, 1.0, 3, 5), "1.0 is not"),
+        (lambda: list(all_partitions(2.0, 2)), "2.0 is not"),
+        (lambda: list(all_partitions(2, "2")), "'2' is not"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_numeric_verdict_tags():

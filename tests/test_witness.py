@@ -169,6 +169,10 @@ def test_nonzero_product_is_refused():
         find_witness((Partition((0, 1), 2), Partition((1, 2), 2)), 2, 4)
     with pytest.raises(NonVanishingProduct):  # a single class never vanishes
         find_witness((Partition((0, 1), 2),), 2, 4)
+    with pytest.raises(NonVanishingProduct):  # r = 0: Gr(0, 3) is a point
+        find_witness((Partition((), 3),) * 2, 0, 3)
+    with pytest.raises(NonVanishingProduct):  # r = n: Gr(2, 2) is a point
+        find_witness((Partition((0, 0), 0),) * 2, 2, 2)
 
 
 def test_box_mismatch_raises():
