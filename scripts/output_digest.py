@@ -14,13 +14,15 @@ oracle gives the wanted answer.  It records
 
 - the ``transversality_verdict`` report at the default prime and at p = 3,
   where rank drops are common;
-- for the vanishing tuple, the ``find_witness`` trace as JSON and the
-  ``verify_witness`` result (or the ``GenericityExhausted`` message);
+- for the vanishing tuple, at each prime in WITNESS_PRIMES, the
+  ``find_witness`` trace as JSON and the ``verify_witness`` result (or
+  the ``GenericityExhausted`` message);
 - the exit status and stdout of ``hornkit check`` and ``hornkit witness``
   on the tuple, in json, text and diagram format, with the round as seed;
 - the exit status and stdout of ``hornkit diagram`` on each class, on its
-  01-string and, for the vanishing tuple, on each witness level's lifted
-  012-strings, which prints the full two-step grid and its three blocks.
+  01-string and, for each trace of the vanishing tuple, on each witness
+  level's lifted 012-strings, which prints the full two-step grid and its
+  three blocks.
 
 Last, it records the ``lr_oracle`` answer on LR_TUPLES tuples per round
 that are not dimension-tight: s = 2..5 classes on Gr(r, r+cap) with
@@ -64,6 +66,10 @@ DEFAULT_BOXES = (
     (6, 12, 3), (7, 14, 2), (7, 14, 3), (8, 16, 2), (8, 16, 3),
 )
 
+
+# the descent at the default prime, at 97, where it mostly completes, and at
+# 3, where it mostly ends in GenericityExhausted
+WITNESS_PRIMES = (DEFAULT_PRIME, 97, 3)
 
 LR_TUPLES = 100
 
@@ -185,15 +191,17 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                 for lam in lams:
                     for pattern in (str(lam), partition_to_string(lam).word):
                         yield f"{label} diagram {pattern}: {run_cli(['diagram', pattern])}"
-                if not want:
+                if want:
+                    continue
+                for p in WITNESS_PRIMES:
                     try:
-                        trace = find_witness(lams, r, n, seed=t)
+                        trace = find_witness(lams, r, n, seed=t, p=p)
                     except GenericityExhausted as exc:
-                        yield f"{label} witness: GenericityExhausted: {exc}"
+                        yield f"{label} witness p={p}: GenericityExhausted: {exc}"
                         continue
                     doc = json.dumps(trace.to_json_dict(), sort_keys=True, separators=(",", ":"))
-                    yield f"{label} witness: {doc}"
-                    yield f"{label} verified: {verify_witness(trace, lams)}"
+                    yield f"{label} witness p={p}: {doc}"
+                    yield f"{label} verified p={p}: {verify_witness(trace, lams)}"
                     for level in trace.levels:
                         for word in level.lifted_strings:
                             yield f"{label} diagram {word}: {run_cli(['diagram', word])}"

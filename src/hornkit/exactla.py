@@ -13,7 +13,7 @@ scales each pivot row to a leading 1 and clears the rows below, never
 those above.  Each caller then does only the work whose result it reads.
 ``Mat.rank`` counts the pivots and back-substitutes nothing; so does
 ``transversality_verdict`` in ``hornkit.tangent``, which reads only the
-rank of its stacked equations.  The others back-substitute bottom-up with
+rank of its equations.  The others back-substitute bottom-up with
 ``_back_substitute``, which works on the pivot-free columns only (a
 reduced row is 1 at its own pivot and 0 at the others) and computes each
 entry there as one dot product with the rows already solved below it:
@@ -36,6 +36,11 @@ is tested as a pivot and taken as the factor f, and the pivot row's
 tail when it is scaled.  After k columns every entry is below
 (k + 1) * p**2 in absolute value, and Python integers do not overflow,
 so every result is exact and the same as with reduction at each update.
+
+``_bruhat`` is no elimination but a normal form: it reduces an
+invertible square matrix to a scaled permutation matrix R * x * A with
+upper-triangular R and A (the Bruhat decomposition GL = B W B).
+``hornkit.tangent`` reads two flag pairs' relative position off it.
 
 Randomness is fed through ``random.Random`` seeded deterministically;
 ``derive_seed`` hashes a label tuple so independent draws inside one run
@@ -377,6 +382,50 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     for s in spaces:
         functionals.extend(s.annihilator().basis)
     return Subspace.from_equations(functionals, ambient, p)
+
+
+def _bruhat(x: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
+    """Bruhat normal form of an invertible square matrix: (perm, R, A) with
+    R and A upper-triangular with unit diagonal and R * x * A a scaled
+    permutation matrix whose column j is nonzero in row perm[j] alone.
+
+    Row by row from the bottom: the leftmost nonzero entry of the row is
+    its pivot.  Multiples of the row are added to the rows above it (R) to
+    clear the pivot's column there; the rows below are already zero in
+    that column.  Then multiples of the pivot's column, now zero off the
+    pivot, are added to the columns right of it (A), which clears the rest
+    of the row and changes no other row, so ``work`` is not updated for it.
+    ValueError if x is singular.
+    """
+    m, p = x.nrows, x.p
+    if m != x.ncols:
+        raise ValueError("Bruhat form of a non-square matrix")
+    work = [list(row) for row in x.data]
+    left = [[int(i == j) for j in range(m)] for i in range(m)]
+    right = [[int(i == j) for j in range(m)] for i in range(m)]
+    perm = [0] * m
+    for i in reversed(range(m)):
+        row = work[i]
+        j = next((k for k, v in enumerate(row) if v), None)
+        if j is None:
+            raise ValueError("matrix is singular")
+        perm[j] = i
+        inv = pow(row[j], -1, p)
+        for h in range(i):
+            f = work[h][j] * inv % p
+            if f:
+                work[h] = [(a - f * b) % p for a, b in zip(work[h], row)]
+                left[h] = [(a - f * b) % p for a, b in zip(left[h], left[i])]
+        for k in range(j + 1, m):
+            g = row[k] * inv % p
+            if g:
+                for arow in right:
+                    arow[k] = (arow[k] - g * arow[j]) % p
+    return (
+        tuple(perm),
+        Mat._of_reduced(tuple(map(tuple, left)), p),
+        Mat._of_reduced(tuple(map(tuple, right)), p),
+    )
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random, p: int) -> Mat:

@@ -29,9 +29,17 @@ coordinates from that stored inverse.
 
 Vanishing of a product of Schubert classes is decided numerically by
 intersecting seeded random translates of these tangent models over a big
-prime field.  ``_random_system`` draws one flag pair per class and stacks
-the classes' equations; the verdict reads the rank of that system, and
-the kernel descent (``hornkit.witness``) its nullspace.  The product is
+prime field.  ``_random_system`` draws one flag pair per class and builds
+one linear system for their meet: equations on some unknowns, and a map
+from its solution space back to the grid.  The verdict reads the
+dimension (unknowns minus rank), and the kernel descent
+(``hornkit.witness``) the mapped-back nullspace.  For three or more
+classes the unknowns are the grid cells and the equations are the
+classes' stacked tangent equations.  Two classes need no equations: in
+coordinates read off the Bruhat normal forms of the two flag pairs'
+relative positions (``exactla._bruhat``), both tangent spaces are
+coordinate patterns, so their meet is spanned by the cells free for both
+(``_common_cells``), exactly and at every prime.  The product is
 nonzero exactly when the intersection dimension equals the (possibly
 negative) virtual dimension sum |lam_i| - (s-1) * r * (n-r).  An
 intersection can never fall below the virtual dimension, and random
@@ -42,7 +50,8 @@ decides exactly with overwhelming probability.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from operator import mul
 
 from ._record import Record, integer, setfield
 from .exactla import (
@@ -50,6 +59,7 @@ from .exactla import (
     Mat,
     Rows,
     Subspace,
+    _bruhat,
     _echelon,
     check_prime,
     derive_seed,
@@ -244,20 +254,95 @@ def tangents_with_flags(
     return [row for lam, fp in zip(lams, flag_pairs) for row in tangent_equations(lam, *fp)]
 
 
-def _random_system(
+def _random_flags(
     lams: Sequence[Partition], labels: Sequence[tuple], p: int
-) -> tuple[tuple[tuple[FlagModel, FlagModel], ...], list[tuple[int, ...]]]:
-    """Draw a random (src, dst) flag pair per class, seeded by labels[i] and
-    "src" or "dst", and stack the classes' tangent equations (reduced mod p,
-    r * cap long): the one system the verdict and the descent both solve."""
-    pairs = tuple(
+) -> tuple[tuple[FlagModel, FlagModel], ...]:
+    """A random (src, dst) flag pair per class, seeded by labels[i] and
+    "src" or "dst"."""
+    return tuple(
         (
             FlagModel.random(lam.r, random.Random(derive_seed(*label, "src")), p),
             FlagModel.random(lam.cap, random.Random(derive_seed(*label, "dst")), p),
         )
         for lam, label in zip(lams, labels)
     )
-    return pairs, tangents_with_flags(lams, pairs)
+
+
+def _system(
+    lams: Sequence[Partition], pairs: Sequence[tuple[FlagModel, FlagModel]]
+) -> tuple[int, list[tuple[int, ...]], Callable[[Subspace], Subspace]]:
+    """The meet of the classes' tangent spaces as (ncols, rows, to_grid):
+    its solution space is the nullspace of rows (reduced mod p) on ncols
+    unknowns, and to_grid carries that nullspace to the row-major
+    (n-r) x r grid, where it is the meet.
+
+    Two classes are put in coordinates adapted to both flag pairs, where
+    the meet is a coordinate subspace and needs no equations; see
+    ``_common_cells``.  Otherwise the unknowns are the grid cells and the
+    rows are the classes' stacked tangent equations.
+    """
+    ambient = lams[0].r * lams[0].cap
+    if len(lams) != 2:
+        return ambient, tangents_with_flags(lams, pairs), lambda space: space
+    cells = _common_cells(lams, pairs)
+
+    def to_grid(space: Subspace) -> Subspace:
+        vectors = [
+            [sum(map(mul, coeffs, column)) for column in zip(*cells)]
+            for coeffs in space.basis
+        ]
+        return Subspace.from_spanning(vectors, ambient, space.p)
+
+    return len(cells), [], to_grid
+
+
+def _common_cells(
+    lams: Sequence[Partition], pairs: Sequence[tuple[FlagModel, FlagModel]]
+) -> list[tuple[int, ...]]:
+    """A basis of the meet of two tangent spaces, as row-major grid vectors.
+
+    With psi = W1^-1 phi V1, the first tangent space is the ``hat_X``
+    pattern of lam1 (cell (a, b) free when a < lam1_b, 0-based) and the
+    second asks M psi K to lie in the pattern of lam2, for M = W2^-1 W1
+    and K = V1^-1 V2.  Upper-triangular factors on either side of psi keep
+    a pattern, since parts weakly increase.  The Bruhat forms
+    S_M = R_M M A_M and S_K = R_K K A_K (``_bruhat``) are scaled
+    permutations, so for psi = A_M E_ab R_K, which is in the first pattern
+    exactly when E_ab is, M psi K = R_M^-1 (S_M E_ab S_K) A_K^-1 is in the
+    second exactly when the one cell of S_M E_ab S_K is free for lam2.  So
+    W1 A_M E_ab R_K V1^-1 over the cells that pass both tests spans the
+    meet, exactly, at every prime.
+    """
+    (lam1, lam2), ((v1, w1), (v2, w2)) = lams, pairs
+    p = v1.p
+    row_of, _, a_m = _bruhat(w2.inverse.mul(w1.matrix))
+    rows_k, r_k, _ = _bruhat(v1.inverse.mul(v2.matrix))
+    col_of = [0] * lam1.r
+    for c, b in enumerate(rows_k):
+        col_of[b] = c
+    left = w1.matrix.mul(a_m).transpose().data  # column a of W1 A_M
+    right = r_k.mul(v1.inverse).data  # row b of R_K V1^-1
+    parts1, parts2 = lam1.parts, lam2.parts
+    return [
+        tuple([x * y % p for x in left[a] for y in right[b]])
+        for b in range(lam1.r)
+        for a in range(parts1[b])
+        if row_of[a] < parts2[col_of[b]]
+    ]
+
+
+def _random_system(
+    lams: Sequence[Partition], labels: Sequence[tuple], p: int
+) -> tuple[
+    tuple[tuple[FlagModel, FlagModel], ...],
+    int,
+    list[tuple[int, ...]],
+    Callable[[Subspace], Subspace],
+]:
+    """Draw the flags with ``_random_flags`` and return them with their
+    ``_system``: the one system the verdict and the descent both solve."""
+    pairs = _random_flags(lams, labels, p)
+    return (pairs, *_system(lams, pairs))
 
 
 def generic_tangents(
@@ -267,8 +352,13 @@ def generic_tangents(
     _common_box(lams)
     seed = integer(seed)
     check_prime(p)
-    labels = [(derive_seed(seed, "tangents", i),) for i in range(len(lams))]
-    return _random_system(lams, labels, p)[1]
+    pairs = _random_flags(lams, _tangent_labels(seed, len(lams)), p)
+    return tangents_with_flags(lams, pairs)
+
+
+def _tangent_labels(seed: int, s: int) -> list[tuple[int]]:
+    """The flag labels of ``generic_tangents`` and of one verdict trial."""
+    return [(derive_seed(seed, "tangents", i),) for i in range(s)]
 
 
 def _common_box(lams: Sequence[Partition]) -> tuple[int, int]:
@@ -312,8 +402,9 @@ def transversality_verdict(
     expected = sum(lam.weight for lam in lams) - (s - 1) * r * cap
     achieved = None
     for t in range(trials):
-        rows = generic_tangents(lams, derive_seed(seed, "trial", t), p)
-        dim = r * cap - len(_echelon(rows, r * cap, p))
+        labels = _tangent_labels(derive_seed(seed, "trial", t), s)
+        _, ncols, rows, _ = _random_system(lams, labels, p)
+        dim = ncols - len(_echelon(rows, ncols, p))
         achieved = dim if achieved is None else min(achieved, dim)
         if achieved == expected:
             break  # cannot go lower: the virtual dimension is a hard floor

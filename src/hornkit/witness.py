@@ -10,8 +10,10 @@ is violated.  The descent is one walk down: carrying each class's
 positions through the kernels to the terminal level gives the index sets
 of a violated Horn inequality for the original classes, certified by
 explicit index-tracking strings.  Each level's intersection is the
-nullspace of the random tangent system that ``tangent`` also builds for
-the numeric verdict, with its seeds labelled by level and attempt.
+mapped-back nullspace of the random tangent system that ``tangent`` also
+builds for the numeric verdict, with its seeds labelled by level and
+attempt; for two classes that is the span of their common cells, with
+no stacked equations to eliminate.
 
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
@@ -170,8 +172,10 @@ def _levels(
     while True:
         for attempt in range(MAX_RETRIES):
             sub = derive_seed(seed, "witness-level", level_no, attempt)
-            flag_pairs, rows = _random_system(lams, [(sub, i) for i in range(s)], p)
-            meet = _nullspace(rows, r * cap, p)
+            flag_pairs, ncols, rows, to_grid = _random_system(
+                lams, [(sub, i) for i in range(s)], p
+            )
+            meet = to_grid(_nullspace(rows, ncols, p))
             if meet.dim == 0:
                 # phi = 0: the kernel is the whole level space and the level's
                 # dimensional inequality is the violated one.

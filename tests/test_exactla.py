@@ -1,6 +1,7 @@
 """Exact linear algebra over a prime field: canonical forms and intersections."""
 
 import hashlib
+import itertools
 import os
 import pathlib
 import random
@@ -15,6 +16,7 @@ from hornkit.exactla import (
     DEFAULT_PRIME,
     Mat,
     Subspace,
+    _bruhat,
     check_prime,
     derive_seed,
     intersect,
@@ -97,6 +99,56 @@ def test_mat_rejects_large_prime_products():
     prod = m.mul(m)
     assert all(0 <= x < p for row in prod.data for x in row)
     assert m.rank() == 2
+
+
+# --- Bruhat normal form ------------------------------------------------------
+
+
+def _bruhat_form(x):
+    """R * x * A from ``_bruhat``, after checking that R and A are
+    upper-triangular and invertible and that the product is a scaled
+    permutation matrix with column j nonzero in row perm[j] alone."""
+    m, p = x.nrows, x.p
+    perm, left, right = _bruhat(x)
+    for tri in (left, right):
+        assert (tri.nrows, tri.ncols, tri.p) == (m, m, p)
+        assert all(tri.data[i][j] == 0 for i in range(m) for j in range(i))
+        assert all(tri.data[i][i] for i in range(m))
+    assert sorted(perm) == list(range(m))
+    form = left.mul(x).mul(right)
+    for j in range(m):
+        assert [i for i in range(m) if form.data[i][j]] == [perm[j]]
+    return perm, form
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_bruhat_fixes_every_permutation_matrix(m):
+    for perm in itertools.permutations(range(m)):
+        x = Mat(tuple(tuple(int(perm[j] == i) for j in range(m)) for i in range(m)), P)
+        assert _bruhat_form(x) == (perm, x)
+
+
+def test_bruhat_empty_and_scalar():
+    assert _bruhat(Mat((), P)) == ((), Mat((), P), Mat((), P))
+    perm, form = _bruhat_form(Mat(((5,),), P))
+    assert perm == (0,) and form == Mat(((5,),), P)
+
+
+def test_bruhat_refuses_singular_and_non_square():
+    with pytest.raises(ValueError, match="singular"):
+        _bruhat(Mat(((1, 2), (2, 4)), P))
+    with pytest.raises(ValueError, match="non-square"):
+        _bruhat(Mat(((1, 2),), P))
+
+
+@given(
+    st.integers(0, 9),
+    st.sampled_from((2, 3, 97, DEFAULT_PRIME)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_bruhat_of_random_invertible_matrices(m, p, rng):
+    _bruhat_form(FlagModel.random(m, rng, p).matrix)
 
 
 # --- the elimination core against Gauss-Jordan -------------------------------

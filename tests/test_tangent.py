@@ -245,6 +245,53 @@ def test_verdict_matches_reduced_row_echelon_reference(case):
     )
 
 
+@st.composite
+def _two_class_systems(draw):
+    """Two classes in a box of at most 5 x 5 with their ``_system``: on
+    its own seeded flags, on standard flags for both classes, or on a
+    second pair that permutes the first pair's flag vectors, which puts
+    the flags in special relative position."""
+    r, cap = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    part = st.lists(st.integers(0, cap), min_size=r, max_size=r)
+    lams = tuple(Partition(sorted(draw(part)), cap) for _ in range(2))
+    p = draw(st.sampled_from((2, 3, 5, 97, P)))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("seeded", "standard", "permuted")))
+    if kind == "seeded":
+        labels = [(rng.getrandbits(64), i) for i in range(2)]
+        pairs, *system = tangent._random_system(lams, labels, p)
+        return lams, pairs, system
+    if kind == "standard":
+        pair = (FlagModel.standard(r, p), FlagModel.standard(cap, p))
+        pairs = (pair, pair)
+    else:
+        src, dst = FlagModel.random(r, rng, p), FlagModel.random(cap, rng, p)
+        perms = [list(range(m)) for m in (r, cap)]
+        for perm in perms:
+            rng.shuffle(perm)
+        moved = tuple(
+            FlagModel(f.matrix.columns(perm)) for f, perm in zip((src, dst), perms)
+        )
+        pairs = ((src, dst), moved)
+    return lams, pairs, tangent._system(lams, pairs)
+
+
+@given(_two_class_systems())
+@settings(max_examples=300, deadline=None)
+def test_two_class_cells_are_the_stacked_meet(case):
+    """Two classes need no equations: their common cells, mapped back to
+    the grid, span the solution space of the stacked tangent equations,
+    and their count is r * cap minus the stacked rank."""
+    lams, pairs, (ncols, rows, to_grid) = case
+    r, cap, p = lams[0].r, lams[0].cap, pairs[0][0].p
+    stacked = tangents_with_flags(lams, pairs)
+    assert rows == []
+    assert to_grid(Subspace.from_equations(rows, ncols, p)) == Subspace.from_equations(
+        stacked, r * cap, p
+    )
+    assert ncols == r * cap - len(rref(stacked, r * cap, p)[1])
+
+
 def test_generic_tangents_draws_pinned_flags():
     """The verdict's draws, written out: class i's source and destination
     flags are seeded by derive_seed(derive_seed(seed, "tangents", i), "src")
