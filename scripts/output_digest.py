@@ -12,8 +12,10 @@ then draws one vanishing and one nonzero dimension-tight tuple (sum of
 weights equal to (s-1) * r * (n-r)), rejection-sampled until the LR
 oracle gives the wanted answer.  It records
 
-- the ``transversality_verdict`` report at the default prime and at p = 3,
-  where rank drops are common;
+- the ``transversality_verdict`` report at the default prime, at p = 3,
+  where rank drops are common, and at p = 2, where only about a third of
+  the square matrices drawn are invertible, so most flags are refused
+  and drawn again;
 - for the vanishing tuple, at each prime in WITNESS_PRIMES, the
   ``find_witness`` trace as JSON and the ``verify_witness`` result (or
   the ``GenericityExhausted`` message);
@@ -66,6 +68,8 @@ DEFAULT_BOXES = (
     (6, 12, 3), (7, 14, 2), (7, 14, 3), (8, 16, 2), (8, 16, 3),
 )
 
+# the verdict at the default prime, at 3 and at 2 (see the module docstring)
+VERDICT_PRIMES = (DEFAULT_PRIME, 3, 2)
 
 # the descent at the default prime, at 97, where it mostly completes, and at
 # 3, where it mostly ends in GenericityExhausted
@@ -180,7 +184,7 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                     if lr_oracle(lams, r, n) == want:
                         break
                 label = f"Gr({r},{n}) s={s} round {t} {[lam.parts for lam in lams]}"
-                for p in (DEFAULT_PRIME, 3):
+                for p in VERDICT_PRIMES:
                     report = transversality_verdict(lams, seed=t, p=p)
                     yield f"{label} verdict p={p}: {report!r}"
                 classes = " ; ".join(str(lam) for lam in lams)

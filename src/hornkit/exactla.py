@@ -24,7 +24,11 @@ entry there as one dot product with the rows already solved below it:
   at the free columns, which is all a nullspace basis needs; the
   equations are coerced and reduced mod p once, on the way in;
 - ``Mat.inverse`` eliminates [M | I], whose free columns are n..2n-1 when
-  M is invertible, and reads the inverse from those values directly.
+  M is invertible, and reads the inverse from those values directly.  It
+  runs as two halves: ``_start_inverse``, the echelon and the singularity
+  check, and ``_finish_inverse``, the back-substitution.
+  ``hornkit.tangent.FlagModel`` runs the first on construction and the
+  second only when its inverse is read.
 
 Reduced forms are canonical, so the results equal those of Gauss-Jordan
 elimination with about half the element updates.
@@ -44,7 +48,10 @@ upper-triangular R and A (the Bruhat decomposition GL = B W B).
 
 Randomness is fed through ``random.Random`` seeded deterministically;
 ``derive_seed`` hashes a label tuple so independent draws inside one run
-never share a stream.
+never share a stream.  ``random_matrix`` draws each entry with
+``getrandbits`` under the rejection rule of ``randrange``, so it draws
+the same entries as ``randrange`` would and leaves the generator in the
+same state.
 """
 
 from __future__ import annotations
@@ -288,6 +295,12 @@ class Mat(Record):
         return Mat(tuple(tuple(row[j] for j in js) for row in self.data), self.p)
 
     def inverse(self) -> "Mat":
+        return self._finish_inverse(self._start_inverse())
+
+    def _start_inverse(self) -> list[tuple[int, list[int]]]:
+        """The forward half of ``inverse``: the echelon of [M | I], which
+        ``_finish_inverse`` completes.  ValueError if M is not square or
+        is singular."""
         n, p = self.nrows, self.p
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
@@ -295,10 +308,15 @@ class Mat(Record):
         echelon = _echelon(aug, 2 * n, p)
         if [col for col, _ in echelon] != list(range(n)):
             raise ValueError("matrix is singular")
+        return echelon
+
+    def _finish_inverse(self, echelon: list[tuple[int, list[int]]]) -> "Mat":
+        """The back half of ``inverse``, on the echelon ``_start_inverse``
+        returned for this matrix."""
         # The free columns are n..2n-1, and each pivot row's values there
         # are its row of the inverse, already reduced mod p.
-        _, solved = _back_substitute(echelon, 2 * n, p)
-        return Mat._of_reduced(tuple(tuple(vals) for _, vals in solved), p)
+        _, solved = _back_substitute(echelon, 2 * self.nrows, self.p)
+        return Mat._of_reduced(tuple(tuple(vals) for _, vals in solved), self.p)
 
     def rank(self) -> int:
         return len(_echelon(self.data, self.ncols, self.p))
@@ -429,7 +447,20 @@ def _bruhat(x: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random, p: int) -> Mat:
-    return Mat(
-        tuple(tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(nrows)), p
-    )
+    """An nrows x ncols matrix of entries uniform in 0..p-1, drawn row by
+    row with exactly the calls ``rng.randrange(p)`` makes (Python 3.10 to
+    3.13): ``getrandbits(p.bit_length())``, drawn again while it is >= p.
+    So the matrix and the generator's final state are those of
+    ``randrange``, without its per-call argument checks."""
+    bits, getrandbits = p.bit_length(), rng.getrandbits
+    rows = []
+    for _ in range(nrows):
+        row = []
+        for _ in range(ncols):
+            x = getrandbits(bits)
+            while x >= p:
+                x = getrandbits(bits)
+            row.append(x)
+        rows.append(tuple(row))
+    return Mat._of_reduced(tuple(rows), p)
 

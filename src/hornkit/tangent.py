@@ -23,9 +23,11 @@ A Schubert tangent space is held as its defining equations
 (``tangent_equations``).  Intersecting tangent spaces stacks their
 equations: the intersection dimension is r * (n-r) minus the rank of the
 stack, and a basis is computed only where a vector is needed.  A
-``FlagModel`` inverts its matrix once, on construction, as its
-invertibility check; the equations and ``schubert_position`` read flag
-coordinates from that stored inverse.
+``FlagModel`` runs the forward half of ``Mat.inverse`` on construction,
+as its invertibility check, and finishes the inverse the first time it
+is read.  The equations read the destination flags' inverses, and
+``schubert_position`` and the two-class cells read source flags', so the
+stacked system of three or more classes finishes no source flag.
 
 Vanishing of a product of Schubert classes is decided numerically by
 intersecting seeded random translates of these tangent models over a big
@@ -94,27 +96,34 @@ __all__ = [
 class FlagModel(Record):
     """A complete flag on F_p^m: step l is the span of the first l columns.
 
-    The matrix is inverted once, on construction; that is the invertibility
-    check, and the inverse (flag coordinates of the standard basis) is kept
-    for ``tangent_equations`` and ``schubert_position``.  Equality, hash and
-    repr are those of the matrix alone.
+    Construction runs the forward half of ``Mat.inverse`` (the echelon of
+    [M | I]) as the invertibility check and keeps that echelon; the first
+    read of ``inverse`` (flag coordinates of the standard basis, for
+    ``tangent_equations`` and ``schubert_position``) finishes it and keeps
+    the inverse instead.  A flag whose inverse is never read pays for no
+    back-substitution.  Equality, hash and repr are those of the matrix
+    alone.
     """
 
-    __slots__ = ("matrix", "_inverse")
+    __slots__ = ("matrix", "_forward", "_inverse")
 
     def __init__(self, matrix: Mat) -> None:
         if matrix.ncols != matrix.nrows:
             raise ValueError("flag matrix must be square")
         try:
-            inverse = matrix.inverse()
+            echelon = matrix._start_inverse()
         except ValueError:
             raise ValueError("flag matrix must be invertible") from None
         Record.__init__(self, matrix)
-        setfield(self, "_inverse", inverse)
+        setfield(self, "_forward", echelon)
+        setfield(self, "_inverse", None)
 
     @property
     def inverse(self) -> Mat:
         """The inverse matrix: row c gives the c-th flag coordinate."""
+        if self._inverse is None:
+            setfield(self, "_inverse", self.matrix._finish_inverse(self._forward))
+            setfield(self, "_forward", None)
         return self._inverse
 
     @property

@@ -18,8 +18,9 @@ no stacked equations to eliminate.
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
 before returning, so a bad draw can only cause a retry or an error —
-never a wrong certificate.  Each level's flags are drawn once and keep
-their inverses, which the equations and the kernel positions both read.
+never a wrong certificate.  Each level's flags are drawn once; a flag's
+inverse is finished the first time the equations or the kernel positions
+read it, and kept for the other.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hornkit.exactla import (
@@ -410,6 +410,27 @@ def test_random_matrix_shape():
     rng = random.Random(0)
     m = random_matrix(3, 5, rng, P)
     assert len(m.data) == 3 and all(len(row) == 5 for row in m.data)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.sampled_from((2, 3, 97, DEFAULT_PRIME, 2**61 - 1, 2**64 - 59)),
+)
+@example(0, 3, 3, 2)  # p = 2 is where p.bit_length() and (p - 1).bit_length() differ
+@settings(max_examples=300, deadline=None)
+def test_random_matrix_draws_what_randrange_draws(seed, nrows, ncols, p):
+    # random_matrix draws with getrandbits under randrange's rejection rule:
+    # the same entries, and the generator left in the same state
+    rng, reference = random.Random(seed), random.Random(seed)
+    m = random_matrix(nrows, ncols, rng, p)
+    expected = tuple(
+        tuple(reference.randrange(p) for _ in range(ncols)) for _ in range(nrows)
+    )
+    assert m.data == expected and m.p == p
+    assert m == Mat(expected, p)
+    assert rng.getstate() == reference.getstate()
 
 
 # --- seed derivation ---------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tangent-space models: patterns, flags, translates, transversality."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -343,6 +345,62 @@ def test_random_flag_draws_as_random_invertible():
                 flag = FlagModel.random(m, random.Random(seed), p)
                 assert flag.matrix == _random_invertible(m, random.Random(seed), p)
                 assert flag.matrix.mul(flag.inverse) == Mat.identity(m, p)
+
+
+@pytest.mark.parametrize("m, p", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+def test_flag_refuses_exactly_the_singular_matrices(m, p):
+    # construction, not the first read of the inverse, refuses a singular
+    # matrix; over F_2 and F_3 most matrices are singular
+    for entries in itertools.product(range(p), repeat=m * m):
+        mat = Mat(tuple(zip(*[iter(entries)] * m)), p)
+        if mat.rank() == m:
+            assert FlagModel(mat).inverse == mat.inverse()
+        else:
+            with pytest.raises(ValueError, match="^flag matrix must be invertible$"):
+                FlagModel(mat)
+
+
+@given(st.integers(0, 7), st.sampled_from((2, 3, 97, P)), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_flag_inverse_is_finished_on_first_read(m, p, rng):
+    flag = FlagModel.random(m, rng, p)
+    unread = FlagModel(flag.matrix)
+    # the value does not depend on whether the inverse was read
+    expected = flag.matrix.inverse()
+    assert flag.inverse == expected
+    assert flag.inverse is flag.inverse  # finished once, then kept
+    assert flag == unread and hash(flag) == hash(unread) and repr(flag) == repr(unread)
+    for copied in (pickle.loads(pickle.dumps(flag)), copy.deepcopy(flag),
+                   pickle.loads(pickle.dumps(unread)), copy.deepcopy(unread)):
+        assert copied == flag and copied.inverse == expected
+    assert unread.inverse == expected
+
+
+def test_flag_constructors_give_correct_inverses():
+    for m in range(5):
+        assert FlagModel.standard(m, 7).inverse == Mat.identity(m, 7)
+        opposite = FlagModel.opposite(m, 7)
+        assert opposite.inverse == opposite.matrix  # a reversal is its own inverse
+    for word in ("0101", "1100", "0011"):
+        flag = minimal_coordinate_flag(StepString(word, 1), 5)
+        assert flag.inverse == flag.matrix.inverse()
+        assert flag.matrix.mul(flag.inverse) == Mat.identity(4, 5)
+    flag = FlagModel.random(5, random.Random(3), P)
+    for v in (Subspace.from_spanning([flag.vector(1), (1, 0, 2, 0, 3)], 5, P),
+              Subspace.zero(5, P), Subspace.full(5, P)):
+        for induced in induced_flag(flag, v):
+            assert induced.inverse == induced.matrix.inverse()
+
+
+def test_systems_finish_only_the_inverses_they_read():
+    # the stacked equations read only destination inverses, and the two-class
+    # cells only the first source's and the second destination's
+    lams3 = (Partition((0, 1, 3), 3), Partition((1, 1, 2), 3), Partition((0, 2, 2), 3))
+    pairs, *_ = tangent._random_system(lams3, [(0, i) for i in range(3)], P)
+    assert [(src._inverse, dst._inverse is None) for src, dst in pairs] == [(None, False)] * 3
+    pairs, *_ = tangent._random_system(lams3[:2], [(0, i) for i in range(2)], P)
+    finished = [[f._inverse is not None for f in pair] for pair in pairs]
+    assert finished == [[True, False], [False, True]]
 
 
 def test_X_raises_on_flags_over_different_fields():
