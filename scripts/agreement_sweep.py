@@ -33,22 +33,31 @@ def parse_shape(text: str) -> tuple[int, int, int]:
     return r, n, s
 
 
+def agree(
+    lams: tuple[Partition, ...], r: int, n: int, seed: int, trials: int
+) -> tuple[bool, bool]:
+    """The LR answer for one tuple, and whether all three deciders give it.
+    A disagreement is printed on stderr."""
+    h = horn_verdict(lams, r, n).nonzero
+    l = lr_oracle(lams, r, n)
+    m = numeric_verdict(lams, r, n, seed=seed, trials=trials).nonzero
+    if not (h == l == m):
+        print(
+            f"MISMATCH {[lam.parts for lam in lams]} in Gr({r},{n}): "
+            f"horn={h} lr={l} numeric={m}",
+            file=sys.stderr,
+        )
+    return l, h == l == m
+
+
 def sweep_exhaustive(r: int, n: int, s: int, seed: int, trials: int) -> tuple[int, int, int]:
     pool = list(all_partitions(r, n - r))
     total = zero = bad = 0
     for lams in itertools.product(pool, repeat=s):
-        h = horn_verdict(lams, r, n).nonzero
-        l = lr_oracle(lams, r, n)
-        m = numeric_verdict(lams, r, n, seed=seed, trials=trials).nonzero
+        nonzero, same = agree(lams, r, n, seed, trials)
         total += 1
-        zero += not l
-        if not (h == l == m):
-            bad += 1
-            print(
-                f"MISMATCH {[lam.parts for lam in lams]} in Gr({r},{n}): "
-                f"horn={h} lr={l} numeric={m}",
-                file=sys.stderr,
-            )
+        zero += not nonzero
+        bad += not same
     return total, zero, bad
 
 
@@ -63,17 +72,10 @@ def sweep_random(
             Partition(tuple(sorted(rng.randint(0, cap) for _ in range(r))), cap)
             for _ in range(s)
         )
-        h = horn_verdict(lams, r, n).nonzero
-        l = lr_oracle(lams, r, n)
+        nonzero, same = agree(lams, r, n, seed, trials)
         total += 1
-        zero += not l
-        if h != l:
-            bad += 1
-            print(
-                f"MISMATCH {[lam.parts for lam in lams]} in Gr({r},{n}): "
-                f"horn={h} lr={l}",
-                file=sys.stderr,
-            )
+        zero += not nonzero
+        bad += not same
     return total, zero, bad
 
 
@@ -89,7 +91,7 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=3,
                         help="flag samples per numeric verdict")
     parser.add_argument("--random-shape", default="3,7,3",
-                        help="r,n,s for the random horn-vs-lr battery")
+                        help="r,n,s for the random battery")
     parser.add_argument("--samples", type=int, default=200,
                         help="random battery size (0 disables it)")
     args = parser.parse_args()

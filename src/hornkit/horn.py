@@ -32,10 +32,12 @@ Poincare duality the product is nonzero iff the product of all but the
 last complementary Schur polynomial has a term inside the dual shape of
 the last complement.  Multiplying by a Schur polynomial only adds boxes,
 so the oracle grows the first complement by the Littlewood-Richardson
-strips of the others inside that shape alone, and stops at the first
-filling that completes.  It shares no code with the recursion and serves
-as ground truth in tests.  ``schur_expand`` gives a whole expansion with
-its multiplicities, over the same strip walker.
+strips of the others inside that shape alone: one depth-first walk over
+the strips of every middle complement in turn, with one memo of the
+states that failed, which stops at the first filling that completes.  It
+shares no code with the recursion and serves as ground truth in tests.
+``schur_expand`` gives a whole expansion with its multiplicities, over
+the same strip walker.
 
 Inequalities, violations and verdicts are immutable value records
 (``hornkit._record``) with a ``to_json_dict`` form.
@@ -419,9 +421,12 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     some filling of the other complements, grown from the first by
     horizontal strips, stays inside beta.  So the first complement must lie
     inside beta (for two classes that is the whole answer), every strip is
-    confined to beta row by row, the middle factors are expanded as sets of
-    (shape, last strip) states, and the last middle factor is walked depth
-    first until one filling completes.  Independent of the Horn recursion."""
+    confined to beta row by row, and one depth-first walk adds the strips
+    of every middle complement in turn until one filling completes.  Each
+    strip adds at least one box inside beta, so the walk recurses at most
+    |beta| - |c^1| <= r (n-r) levels deep, and a walk that nears Python's
+    recursion limit (1000 by default) raises RecursionError.  Independent
+    of the Horn recursion."""
     lams = tuple(lams)
     r, n = _check_box(lams, r, n)
     if len(lams) <= 1:
@@ -431,38 +436,30 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     beta = tuple(cap - x for x in reversed(last))
     if any(x > y for x, y in zip(first, beta)):
         return False
-    if not middle:
-        return True
-    # the nonzero parts of each middle complement are its strip sizes
-    *expanded, walked = ([x for x in comp if x] for comp in middle)
-    shapes = {first}
-    for sizes in expanded:
-        states = {(shape, None) for shape in shapes}
-        for size in sizes:
-            states = {
-                grown
-                for shape, prev in states
-                for grown in _horizontal_strips(shape, size, beta, prev)
-            }
-        shapes = {shape for shape, _ in states}
-        if not shapes:
-            return False
+    # (size, closes) for each strip: the nonzero parts of every middle
+    # complement in turn, where the last strip of a complement closes its
+    # lattice word, so the next strip starts a new one
+    strips = []
+    for comp in middle:
+        sizes = [x for x in comp if x]
+        strips += [(x, i == len(sizes) - 1) for i, x in enumerate(sizes)]
     # (shape, strip) states walked before, none of which completed.  Every
-    # start shape has as many boxes and every strip is nonempty, so a
-    # shape's box count tells which strip it was grown by.
+    # strip is nonempty, so a shape's box count tells which strip grew it.
     seen: set = set()
 
     def fill(j: int, shape: tuple[int, ...], prev: tuple[int, ...] | None) -> bool:
-        if j == len(walked):
+        if j == len(strips):
             return True
-        for state in _horizontal_strips(shape, walked[j], beta, prev):
+        size, closes = strips[j]
+        for grown, strip in _horizontal_strips(shape, size, beta, prev):
+            state = (grown, None if closes else strip)
             if state not in seen:
                 seen.add(state)
                 if fill(j + 1, *state):
                     return True
         return False
 
-    return any(fill(0, shape, None) for shape in shapes)
+    return fill(0, first, None)
 
 
 def numeric_verdict(

@@ -244,7 +244,8 @@ def find_witness(
     seed = integer(seed)
     check_prime(p)
     if horn_verdict(lams, r, n).nonzero:
-        raise NonVanishingProduct(f"the product of {len(lams)} classes is nonzero")
+        what = "a single class" if len(lams) == 1 else f"the product of {len(lams)} classes"
+        raise NonVanishingProduct(f"{what} is nonzero")
 
     # Each class's top-level positions that survive every kernel are the
     # final index set; its certificate marks them '2' inside the first kernel.

@@ -422,18 +422,22 @@ def test_schur_expand_matches_reference(a, b, max_rows, max_cols):
 
 
 def test_lr_oracle_matches_full_expansion_on_whole_boxes():
-    # every ordered pair with r <= 3, n - r <= 4, and every ordered triple
-    # with n <= 5, the empty boxes r = 0 and n = r included
+    # in the boxes r <= 3, n - r <= 4 (the empty boxes r = 0 and n = r
+    # included): every ordered pair, every ordered triple and 4-tuple with
+    # n <= 5, and every ordered 5-tuple with n <= 4.  From s = 4 on, the
+    # walk crosses from one middle complement into the next.
     count = 0
     for r, cap in itertools.product(range(4), range(5)):
         parts = list(all_partitions(r, cap))
-        for s in (2, 3) if r + cap <= 5 else (2,):
+        for s, largest_n in ((2, 7), (3, 5), (4, 5), (5, 4)):
+            if r + cap > largest_n:
+                continue
             for lams in itertools.product(parts, repeat=s):
                 assert lr_oracle(lams, r, r + cap) == _full_expansion(
                     lams, r, r + cap
                 ), lams
                 count += 1
-    assert count == 4712
+    assert count == 37681
 
 
 @st.composite

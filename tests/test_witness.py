@@ -163,12 +163,14 @@ def test_determinism():
 
 
 def test_nonzero_product_is_refused():
-    with pytest.raises(NonVanishingProduct):
+    with pytest.raises(NonVanishingProduct, match="^the product of 2 classes is nonzero$"):
         find_witness((Partition((4, 4, 4), 4),) * 2, 3, 7)
     with pytest.raises(NonVanishingProduct):
         find_witness((Partition((0, 1), 2), Partition((1, 2), 2)), 2, 4)
-    with pytest.raises(NonVanishingProduct):  # a single class never vanishes
-        find_witness((Partition((0, 1), 2),), 2, 4)
+    with pytest.raises(NonVanishingProduct, match="^a single class is nonzero$"):
+        find_witness((Partition((0, 1), 2),), 2, 4)  # a single class never vanishes
+    with pytest.raises(NonVanishingProduct, match="^a single class is nonzero$"):
+        find_witness((Partition((0,), 1),), 1, 2)  # the CLI's "0/1x1"
     with pytest.raises(NonVanishingProduct):  # r = 0: Gr(0, 3) is a point
         find_witness((Partition((), 3),) * 2, 0, 3)
     with pytest.raises(NonVanishingProduct):  # r = n: Gr(2, 2) is a point
