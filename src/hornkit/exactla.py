@@ -346,6 +346,7 @@ class Subspace(Record):
         cls, rows: Sequence[Sequence[int]], ambient_dim: int, p: int
     ) -> "Subspace":
         """{v : row . v = 0 for every row}; the whole space when there are none."""
+        check_prime(p)
         work = []
         for row in rows:
             if len(row) != ambient_dim:

@@ -423,10 +423,9 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     inside beta (for two classes that is the whole answer), every strip is
     confined to beta row by row, and one depth-first walk adds the strips
     of every middle complement in turn until one filling completes.  Each
-    strip adds at least one box inside beta, so the walk recurses at most
-    |beta| - |c^1| <= r (n-r) levels deep, and a walk that nears Python's
-    recursion limit (1000 by default) raises RecursionError.  Independent
-    of the Horn recursion."""
+    strip adds at least one box inside beta, so the walk's stack holds at
+    most |beta| - |c^1| <= r (n-r) strips.  Independent of the Horn
+    recursion."""
     lams = tuple(lams)
     r, n = _check_box(lams, r, n)
     if len(lams) <= 1:
@@ -443,23 +442,30 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     for comp in middle:
         sizes = [x for x in comp if x]
         strips += [(x, i == len(sizes) - 1) for i, x in enumerate(sizes)]
+    if not strips:
+        return True
     # (shape, strip) states walked before, none of which completed.  Every
     # strip is nonempty, so a shape's box count tells which strip grew it.
     seen: set = set()
-
-    def fill(j: int, shape: tuple[int, ...], prev: tuple[int, ...] | None) -> bool:
-        if j == len(strips):
-            return True
-        size, closes = strips[j]
-        for grown, strip in _horizontal_strips(shape, size, beta, prev):
+    # walks[j] yields the placements of strip j on the state strip j - 1
+    # left; the last walk is the one being advanced, and a spent one is popped
+    walks = [_horizontal_strips(first, strips[0][0], beta, None)]
+    while walks:
+        j = len(walks) - 1
+        closes = strips[j][1]
+        for grown, strip in walks[-1]:
             state = (grown, None if closes else strip)
             if state not in seen:
                 seen.add(state)
-                if fill(j + 1, *state):
+                if j + 1 == len(strips):
                     return True
-        return False
-
-    return fill(0, first, None)
+                walks.append(
+                    _horizontal_strips(grown, strips[j + 1][0], beta, state[1])
+                )
+                break
+        else:
+            walks.pop()
+    return False
 
 
 def numeric_verdict(

@@ -311,6 +311,12 @@ def test_from_equations_rejects_rows_of_the_wrong_length():
     assert Subspace.from_equations([(1, 2, 3)], 3, 7).dim == 2
 
 
+def test_from_equations_refuses_a_composite_p():
+    # over Z/4 the nullspace would come back as a "basis" with no error
+    with pytest.raises(ValueError, match="p = 4 is not a prime"):
+        Subspace.from_equations([[1, 1]], 2, 4)
+
+
 @given(_matrices(), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
 def test_from_equations_reduces_unreduced_entries(case, rng):

@@ -344,6 +344,14 @@ def test_lr_oracle_single_factor():
     assert lr_oracle((Partition((0, 2), 3),), 2, 5)
 
 
+def test_lr_oracle_walks_past_the_recursion_limit():
+    # sigma_1^1024 on Gr(32,64), between two unit classes: 1,024 strips of
+    # one box each, and the product is a nonzero multiple of the point class
+    unit = Partition((32,) * 32, 32)
+    box = Partition((31,) + (32,) * 31, 32)
+    assert lr_oracle((unit,) + (box,) * 1024 + (unit,), 32, 64)
+
+
 def _reference_schur_expand(a, b, max_rows, max_cols):
     """Reference LR expansion truncated to a box, with one column bound for
     every row: checks ``schur_expand`` directly, and ``lr_oracle`` through
