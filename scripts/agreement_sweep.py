@@ -21,8 +21,9 @@ import sys
 import time
 from collections.abc import Iterable
 
-from hornkit.horn import horn_verdict, lr_oracle, numeric_verdict
+from hornkit.horn import horn_verdict, lr_oracle
 from hornkit.strings import Partition, all_partitions
+from hornkit.tangent import transversality_verdict
 from hornkit.witness import GenericityExhausted, find_witness, verify_witness
 
 DEFAULT_SHAPES = ("2,4,2", "2,4,3", "2,5,2", "3,6,2")
@@ -45,7 +46,7 @@ def agree(
     A disagreement is printed on stderr."""
     h = horn_verdict(lams, r, n).nonzero
     l = lr_oracle(lams, r, n)
-    m = numeric_verdict(lams, r, n, seed=seed, trials=trials).nonzero
+    m = transversality_verdict(lams, r, n, seed=seed, trials=trials).nonzero
     if not (h == l == m):
         print(
             f"MISMATCH {[lam.parts for lam in lams]} in Gr({r},{n}): "

@@ -185,7 +185,7 @@ def records(seed: int, rounds: int, boxes: tuple[tuple[int, int, int], ...]):
                         break
                 label = f"Gr({r},{n}) s={s} round {t} {[lam.parts for lam in lams]}"
                 for p in VERDICT_PRIMES:
-                    report = transversality_verdict(lams, seed=t, p=p)
+                    report = transversality_verdict(lams, r, n, seed=t, p=p)
                     yield f"{label} verdict p={p}: {report!r}"
                 classes = " ; ".join(str(lam) for lam in lams)
                 for command in ("check", "witness"):

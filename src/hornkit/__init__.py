@@ -29,7 +29,6 @@ from .horn import (
     evaluate,
     horn_verdict,
     lr_oracle,
-    numeric_verdict,
     schur_expand,
 )
 from .tangent import (
@@ -67,7 +66,6 @@ __all__ = [
     "evaluate",
     "horn_verdict",
     "lr_oracle",
-    "numeric_verdict",
     "schur_expand",
     "TransversalityReport",
     "transversality_verdict",

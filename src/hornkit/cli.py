@@ -134,14 +134,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif name == "lr":
             methods[name] = Verdict(lr_oracle(lams, r, n), "lr-oracle").to_json_dict()
         else:
-            report = transversality_verdict(
-                lams, seed=args.seed, trials=args.trials, p=args.prime
-            )
-            methods[name] = {
-                **Verdict(report.nonzero, "numeric").to_json_dict(),
-                "achieved_dim": report.achieved_dim,
-                "expected_dim": report.expected_dim,
-            }
+            methods[name] = transversality_verdict(
+                lams, r, n, seed=args.seed, trials=args.trials, p=args.prime
+            ).to_json_dict()
     answers = {doc["nonzero"] for doc in methods.values()}
     if len(answers) > 1:
         detail = ", ".join(f"{k}={v['nonzero']}" for k, v in methods.items())

@@ -12,11 +12,12 @@ Every elimination runs one forward-elimination core, ``_echelon``: it
 scales each pivot row to a leading 1 and clears the rows below, never
 those above.  Each caller then does only the work whose result it reads.
 ``Mat.rank`` counts the pivots and back-substitutes nothing; so does
-``transversality_verdict`` in ``hornkit.tangent``, which reads only the
-rank of its equations.  The others back-substitute bottom-up with
-``_back_substitute``, which works on the pivot-free columns only (a
-reduced row is 1 at its own pivot and 0 at the others) and computes each
-entry there as one dot product with the rows already solved below it:
+the numeric decider, ``hornkit.tangent.transversality_verdict``, which
+reads only the rank of its equations.  The others back-substitute
+bottom-up with ``_back_substitute``, which works on the pivot-free
+columns only (a reduced row is 1 at its own pivot and 0 at the others)
+and computes each entry there as one dot product with the rows already
+solved below it:
 
 - ``rref`` (and so ``Subspace.from_spanning`` and ``Subspace.contains``)
   writes out the full reduced rows;
@@ -112,8 +113,12 @@ def is_prime(m: int) -> bool:
 
 def check_prime(p: int) -> None:
     """Raise ValueError unless p is prime: F_p must be a field.  Beyond 64
-    bits is_prime is not exact, so p must also lie below 2**64."""
+    bits is_prime is not exact, so p must also lie below 2**64.  The
+    default prime, which every default query passes, is taken without
+    running the proof again."""
     p = integer(p)
+    if p == DEFAULT_PRIME:
+        return
     try:
         prime = is_prime(p)
     except ValueError:
@@ -370,12 +375,6 @@ class Subspace(Record):
 
     def contains(self, vector: Sequence[int]) -> bool:
         stacked, _ = rref(self.basis + (tuple(vector),), self.ambient_dim, self.p)
-        return len(stacked) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self.ambient_dim or other.p != self.p:
-            raise ValueError("subspaces live in different ambient spaces")
-        stacked, _ = rref(self.basis + other.basis, self.ambient_dim, self.p)
         return len(stacked) == self.dim
 
     def annihilator(self) -> "Subspace":

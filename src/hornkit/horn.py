@@ -40,7 +40,8 @@ shares no code with the recursion and serves as ground truth in tests.
 the same strip walker.
 
 Inequalities, violations and verdicts are immutable value records
-(``hornkit._record``) with a ``to_json_dict`` form.
+(``hornkit._record``) with a ``to_json_dict`` form.  The third decider,
+``hornkit.tangent.transversality_verdict``, takes the same (lams, r, n).
 """
 
 from __future__ import annotations
@@ -52,9 +53,11 @@ import math
 from collections.abc import Iterator, Mapping, Sequence
 
 from ._record import Record, integer
-from .exactla import DEFAULT_PRIME, check_prime
-from .strings import Partition
-from .tangent import TransversalityReport, _check_trials, transversality_verdict
+from .strings import Partition, _check_box
+
+# perfbench/stream.py still calls horn.numeric_verdict; this alias goes
+# with the next change to the benchmark.
+from .tangent import transversality_verdict as numeric_verdict
 
 __all__ = [
     "HornInequality",
@@ -65,7 +68,6 @@ __all__ = [
     "horn_verdict",
     "lr_oracle",
     "schur_expand",
-    "numeric_verdict",
 ]
 
 
@@ -159,18 +161,6 @@ class Verdict(Record):
             "method": self.method,
             "violated": self.violated.to_json_dict() if self.violated else None,
         }
-
-
-def _check_box(lams: Sequence[Partition], r: int, n: int) -> tuple[int, int]:
-    """r and n read as integers, once the classes are checked to lie in
-    Lambda(r, n - r)."""
-    r, n = integer(r), integer(n)
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got ({r}, {n})")
-    for lam in lams:
-        if lam.r != r or lam.cap != n - r:
-            raise ValueError(f"{lam} does not lie in Lambda({r}, {n - r})")
-    return r, n
 
 
 # One mu in Lambda(d, r-d): its parts, its weight, and its 0-based index
@@ -467,22 +457,3 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
             walks.pop()
     return False
 
-
-def numeric_verdict(
-    lams: Sequence[Partition],
-    r: int,
-    n: int,
-    seed: int = 0,
-    trials: int = 3,
-    p: int = DEFAULT_PRIME,
-) -> Verdict:
-    """Randomized exact transversality test, re-tagged as a Verdict."""
-    lams = tuple(lams)
-    r, n = _check_box(lams, r, n)
-    if not lams:  # the empty product is the unit class
-        integer(seed)
-        check_prime(p)
-        _check_trials(trials)
-        return Verdict(True, "numeric")
-    report: TransversalityReport = transversality_verdict(lams, seed, trials, p)
-    return Verdict(report.nonzero, "numeric")

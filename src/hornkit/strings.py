@@ -21,7 +21,7 @@ validated on construction.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from ._record import Record, integer
 
@@ -73,6 +73,18 @@ class Partition(Record):
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+def _check_box(lams: Iterable[Partition], r: int, n: int) -> tuple[int, int]:
+    """r and n read as integers, once the classes are checked to lie in
+    Lambda(r, n - r): the one box check of every decider."""
+    r, n = integer(r), integer(n)
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= n, got ({r}, {n})")
+    for lam in lams:
+        if lam.r != r or lam.cap != n - r:
+            raise ValueError(f"{lam} does not lie in Lambda({r}, {n - r})")
+    return r, n
 
 
 class StepString(Record):

@@ -47,6 +47,10 @@ negative) virtual dimension sum |lam_i| - (s-1) * r * (n-r).  An
 intersection can never fall below the virtual dimension, and random
 special position only inflates it, so the minimum over a few trials
 decides exactly with overwhelming probability.
+
+``transversality_verdict(lams, r, n)`` is the one numeric decider of the
+library, the CLI and the scripts; its ``TransversalityReport`` writes the
+CLI's numeric document itself (``to_json_dict``).
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .exactla import (
     random_matrix,
     rref,
 )
-from .strings import Partition, StepString
+from .strings import Partition, StepString, _check_box
 
 __all__ = [
     "FlagModel",
@@ -80,12 +84,8 @@ __all__ = [
     "tangents_with_flags",
     "TransversalityReport",
     "transversality_verdict",
-    "induced_flag",
     "schubert_position",
-    "quotient_pattern",
-    "minimal_coordinate_flag",
     "eta_word",
-    "two_step_translate",
     "opposite_cells",
     "render_pattern",
     "render_cells",
@@ -358,7 +358,9 @@ def generic_tangents(
     lams: Sequence[Partition], seed: int = 0, p: int = DEFAULT_PRIME
 ) -> list[tuple[int, ...]]:
     """Stacked tangent equations from independent seeded random flags."""
-    _common_box(lams)
+    if not lams:
+        raise ValueError("need at least one partition")
+    _check_box(lams, lams[0].r, lams[0].n)
     seed = integer(seed)
     check_prime(p)
     pairs = _random_flags(lams, _tangent_labels(seed, len(lams)), p)
@@ -368,15 +370,6 @@ def generic_tangents(
 def _tangent_labels(seed: int, s: int) -> list[tuple[int]]:
     """The flag labels of ``generic_tangents`` and of one verdict trial."""
     return [(derive_seed(seed, "tangents", i),) for i in range(s)]
-
-
-def _common_box(lams: Sequence[Partition]) -> tuple[int, int]:
-    if not lams:
-        raise ValueError("need at least one partition")
-    r, cap = lams[0].r, lams[0].cap
-    if any(lam.r != r or lam.cap != cap for lam in lams):
-        raise ValueError("all partitions must share the same rectangle")
-    return r, cap
 
 
 def _check_trials(trials: int) -> int:
@@ -395,20 +388,36 @@ class TransversalityReport(Record):
 
     __slots__ = ("nonzero", "achieved_dim", "expected_dim")
 
+    def to_json_dict(self) -> dict:
+        """The CLI's numeric method document."""
+        return {
+            "nonzero": self.nonzero,
+            "method": "numeric",
+            "violated": None,
+            "achieved_dim": self.achieved_dim,
+            "expected_dim": self.expected_dim,
+        }
+
 
 def transversality_verdict(
     lams: Sequence[Partition],
+    r: int,
+    n: int,
     seed: int = 0,
     trials: int = 3,
     p: int = DEFAULT_PRIME,
 ) -> TransversalityReport:
-    """Decide vanishing of the class product by seeded exact intersections."""
-    r, cap = _common_box(lams)
+    """Decide vanishing of the class product on Gr(r, n) by seeded exact
+    intersections.  The empty product is the unit class: nonzero, with
+    the whole grid as its meet, and no flag is drawn."""
+    r, n = _check_box(lams, r, n)
     seed = integer(seed)
     check_prime(p)
     trials = _check_trials(trials)
     s = len(lams)
-    expected = sum(lam.weight for lam in lams) - (s - 1) * r * cap
+    expected = sum(lam.weight for lam in lams) - (s - 1) * r * (n - r)
+    if not lams:
+        return TransversalityReport(True, expected, expected)
     achieved = None
     for t in range(trials):
         labels = _tangent_labels(derive_seed(seed, "trial", t), s)
@@ -442,78 +451,6 @@ def schubert_position(v: Subspace, flag: FlagModel) -> StepString:
     entered = {n - k for k in _flag_echelon(v, flag)[1]}
     word = "".join("1" if l in entered else "0" for l in range(1, n + 1))
     return StepString(word, 1)
-
-
-def induced_flag(flag: FlagModel, v: Subspace) -> tuple[FlagModel, FlagModel]:
-    """Flags induced on a subspace and on its quotient.
-
-    The echelon rows of ``_flag_echelon``, taken in the order their steps
-    enter V, give a full flag on V (steps where the position string has a
-    '1'); the images of the remaining flag vectors give a full flag on the
-    quotient.  V is returned in the coordinates of its canonical basis; the
-    quotient in the non-pivot coordinates, via reduction modulo V.
-    """
-    p = flag.p
-    n = flag.size
-    rows, flag_pivots = _flag_echelon(v, flag)
-    entered = {n - k for k in flag_pivots}
-    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in v.basis)
-    nonpivots = [j for j in range(n) if j not in set(pivots)]
-
-    def reduce_mod_v(x: Sequence[int]) -> list[int]:
-        out = list(x)
-        for piv, brow in zip(pivots, v.basis):
-            c = out[piv]
-            if c:
-                out = [(a - c * b) % p for a, b in zip(out, brow)]
-        return out
-
-    at_pivots = [flag.matrix.data[piv] for piv in pivots]
-    sub_columns: list[tuple[int, ...]] = []
-    for row in reversed(rows):  # pivots descend as the entry steps ascend
-        coeffs = row[::-1]  # flag coordinates of a vector of V
-        sub_columns.append(
-            tuple(sum(c * x for c, x in zip(coeffs, frow)) % p for frow in at_pivots)
-        )
-    quot_columns: list[tuple[int, ...]] = []
-    for l in range(1, n + 1):
-        if l in entered:
-            continue
-        reduced = reduce_mod_v(flag.vector(l))
-        quot_columns.append(tuple(reduced[j] for j in nonpivots))
-    sub_mat = Mat(tuple(zip(*sub_columns)) if sub_columns else (), p)
-    quot_mat = Mat(tuple(zip(*quot_columns)) if quot_columns else (), p)
-    return FlagModel(sub_mat), FlagModel(quot_mat)
-
-
-def quotient_pattern(lam: Partition, rho: StepString) -> Partition:
-    """Partition of the quotient tangent pattern: lam at the zero-positions
-    of rho (the directions not swallowed by the kernel)."""
-    if rho.k != 1 or rho.n != lam.r:
-        raise ValueError("rho must be a 01-string with one letter per part")
-    parts = tuple(lam.parts[pos - 1] for pos in rho.positions(0))
-    return Partition(parts, lam.cap)
-
-
-def minimal_coordinate_flag(
-    sigma: StepString, p: int = DEFAULT_PRIME
-) -> FlagModel:
-    """The coordinate flag putting the standard base point in position sigma.
-
-    With the ambient basis ordered so the base planes span the last
-    coordinates (letters high to low), step l adjoins the coordinate whose
-    eta-index is l; positions of V then jump exactly at sigma's nonzero
-    letters.
-    """
-    eta = eta_word(sigma)
-    n = sigma.n
-    alpha = [0] * n
-    for j, pos in enumerate(eta, start=1):
-        alpha[pos - 1] = j
-    cols = tuple(
-        tuple(1 if i == alpha[l] - 1 else 0 for l in range(n)) for i in range(n)
-    )
-    return FlagModel(Mat(cols, p))
 
 
 def opposite_cells(
@@ -583,70 +520,3 @@ def render_overlay(
     pattern relative to the opposite flag (flipped blocks)."""
     return render_cells([first, opposite_cells(second, d, r, n)], d, r, n)
 
-
-def two_step_translate(
-    sigma: StepString,
-    d: int,
-    r: int,
-    n: int,
-    seed: int = 0,
-    p: int = DEFAULT_PRIME,
-) -> Subspace:
-    """A generic translate of the two-step tangent model, as a subspace of
-    the vectorized (n-d) x r grid (lower-left coordinates always zero).
-
-    The stabilizer of the standard nested planes is the group of block
-    lower-triangular matrices for the (n-r, r-d, d) coordinate split; a
-    random element acts on the tangent space by conjugation followed by
-    projection back onto the three blocks.  The translate's dimension
-    equals the cell dimension of sigma.
-    """
-    seed = integer(seed)
-    d, r, n = integer(d), integer(r), integer(n)
-    check_prime(p)
-    cells = hat_Y(sigma, d, r, n)
-    q, m = n - r, r - d
-    rng = random.Random(derive_seed(seed, "two-step", sigma.word))
-
-    def block_index(i: int) -> int:
-        return 0 if i < q else (1 if i < q + m else 2)
-
-    while True:
-        entries = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if block_index(i) > block_index(j):
-                    entries[i][j] = rng.randrange(p)
-        for i in range(n):  # then the diagonal blocks, one after the other
-            for j in range(n):
-                if block_index(i) == block_index(j):
-                    entries[i][j] = rng.randrange(p)
-        g = Mat(tuple(tuple(row) for row in entries), p)
-        try:
-            ginv = g.inverse()
-        except ValueError:  # a diagonal block is singular: draw again
-            continue
-        break
-
-    ambient = (n - d) * r
-    vectors = []
-    for (j, k) in sorted(cells):
-        col = g.column(j - 1)  # image of the cell's row basis vector
-        rowv = ginv.data[q + k - 1]  # dual of the cell's column basis vector
-        vec = [0] * ambient
-        for jj in range(1, n - d + 1):
-            cj = col[jj - 1]
-            if not cj:
-                continue
-            for kk in range(1, r + 1):
-                if jj > q and kk <= m:
-                    continue
-                vec[(jj - 1) * r + (kk - 1)] = cj * rowv[q + kk - 1] % p
-        vectors.append(tuple(vec))
-    translate = Subspace.from_spanning(vectors, ambient, p)
-    if translate.dim != len(cells):
-        raise RuntimeError(
-            f"translate has dimension {translate.dim}, "
-            f"not the cell dimension {len(cells)}"
-        )
-    return translate

@@ -37,10 +37,11 @@ from .exactla import (
     check_prime,
     derive_seed,
 )
-from .horn import HornInequality, _check_box, _int, _ints, _items, evaluate, horn_verdict, lr_oracle
+from .horn import HornInequality, _int, _ints, _items, evaluate, horn_verdict, lr_oracle
 from .strings import (
     Partition,
     StepString,
+    _check_box,
     lift,
     partition_to_string,
     string_to_partition,

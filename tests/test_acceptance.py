@@ -7,7 +7,7 @@ import pathlib
 import time
 
 from hornkit import cli
-from hornkit.horn import horn_verdict, lr_oracle, numeric_verdict
+from hornkit.horn import horn_verdict, lr_oracle
 from hornkit.strings import (
     Partition,
     StepString,
@@ -45,13 +45,13 @@ def test_criterion_1_opposite_tangent_intersection():
     start = time.perf_counter()
     lams = (Partition((0, 1, 3, 3), 5), Partition((3, 3, 3, 5), 5))
     for seed in range(5):
-        report = transversality_verdict(lams, seed=seed, trials=1)
+        report = transversality_verdict(lams, 4, 9, seed=seed, trials=1)
         assert report.achieved_dim == 2  # codimension 18 in the 20-cell grid
         assert report.expected_dim == 1  # codimension 19 expected if nonzero
         assert not report.nonzero
     assert not horn_verdict(lams, 4, 9).nonzero
     assert not lr_oracle(lams, 4, 9)
-    assert not numeric_verdict(lams, 4, 9).nonzero
+    assert not transversality_verdict(lams, 4, 9).nonzero
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, elapsed, "achieved dim 2 vs expected 1 on 5 seeds; 3 methods zero")
@@ -106,7 +106,7 @@ def test_criterion_4_three_way_agreement():
     for r, n, lams in _sweep_tuples():
         h = horn_verdict(lams, r, n).nonzero
         l = lr_oracle(lams, r, n)
-        m = numeric_verdict(lams, r, n).nonzero
+        m = transversality_verdict(lams, r, n).nonzero
         assert h == l == m, (lams, h, l, m)
         counts[(r, n, len(lams))] += 1
     assert tuple(counts[s] for s in SWEEP_SHAPES) == EXPECTED_TUPLE_COUNTS
@@ -242,7 +242,7 @@ def test_big_box_goldens():
     for case in doc["check"]:
         r, n = case["r"], case["n"]
         lams = tuple(Partition(parts, n - r) for parts in case["parts"])
-        report = transversality_verdict(lams)
+        report = transversality_verdict(lams, r, n)
         assert case["report"] == {
             "nonzero": report.nonzero,
             "achieved_dim": report.achieved_dim,

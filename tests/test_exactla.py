@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _twostep import contains_subspace
 from hornkit.exactla import (
     DEFAULT_PRIME,
     Mat,
@@ -355,10 +356,10 @@ def test_subspace_zero_and_full():
 
 def test_contains_subspace_rejects_other_ambient_spaces():
     with pytest.raises(ValueError, match="different ambient spaces"):
-        Subspace.full(3, 7).contains_subspace(Subspace.full(3, 11))
+        contains_subspace(Subspace.full(3, 7), Subspace.full(3, 11))
     with pytest.raises(ValueError, match="different ambient spaces"):
-        Subspace.full(3, 7).contains_subspace(Subspace.zero(2, 7))
-    assert Subspace.full(3, 7).contains_subspace(Subspace.zero(3, 7))
+        contains_subspace(Subspace.full(3, 7), Subspace.zero(2, 7))
+    assert contains_subspace(Subspace.full(3, 7), Subspace.zero(3, 7))
 
 
 def test_annihilator_dimensions():
@@ -387,7 +388,7 @@ def test_intersect_dimension_formula(rng):
     a = random_subspace(rng, 6)
     b = random_subspace(rng, 6)
     meet = intersect([a, b])
-    assert a.contains_subspace(meet) and b.contains_subspace(meet)
+    assert contains_subspace(a, meet) and contains_subspace(b, meet)
     # dim(a meet b) >= dim a + dim b - ambient
     assert meet.dim >= a.dim + b.dim - 6
     join = Subspace.from_spanning(list(a.basis + b.basis), 6, P)
@@ -399,7 +400,7 @@ def test_intersect_three_spaces():
     spaces = [random_subspace(rng, 5) for _ in range(3)]
     meet = intersect(spaces)
     for sp in spaces:
-        assert sp.contains_subspace(meet)
+        assert contains_subspace(sp, meet)
 
 
 def test_random_element_lies_in_space():
@@ -486,6 +487,7 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
 def test_check_prime_names_the_composite():
     check_prime(2)
     check_prime(DEFAULT_PRIME)
+    assert is_prime(DEFAULT_PRIME)  # check_prime takes it without the proof
     for bad in (0, 1, 4, 91, 561):
         with pytest.raises(ValueError, match=f"p = {bad} "):
             check_prime(bad)

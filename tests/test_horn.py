@@ -1,6 +1,8 @@
 """Horn inequality enumeration, recursion verdicts, and the LR ground truth."""
 
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -15,7 +17,6 @@ from hornkit.horn import (
     evaluate,
     horn_verdict,
     lr_oracle,
-    numeric_verdict,
     schur_expand,
 )
 from hornkit.strings import (
@@ -28,8 +29,16 @@ from hornkit.strings import (
     string_to_partition,
     substring_uv,
 )
-from hornkit.tangent import generic_tangents, hat_Y, transversality_verdict, two_step_translate
+from hornkit.tangent import (
+    TransversalityReport,
+    generic_tangents,
+    hat_Y,
+    transversality_verdict,
+)
 from hornkit.witness import find_witness
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _random_partition(rng, r, cap):
@@ -144,10 +153,14 @@ def test_enumerate_rejects_bad_shapes():
 
 def test_box_entry_points_read_r_and_n_as_integers():
     lams = (Partition((0, 1), 2), Partition((0, 1), 2))
-    for decide in (horn_verdict, lr_oracle, numeric_verdict, find_witness):
+    outside = (Partition((0, 1, 2), 4),)
+    for decide in (horn_verdict, lr_oracle, transversality_verdict, find_witness):
         for r, n in ((2.0, 4), (2, 4.0), ("2", 4)):
             with pytest.raises(ValueError, match="is not an integer"):
                 decide(lams, r, n)
+        # the one box check: a class outside Lambda(r, n - r) is refused alike
+        with pytest.raises(ValueError, match=r"does not lie in Lambda\(3, 5\)"):
+            decide(outside, 3, 8)
 
 
 def _enumerate_reference(r, n, s):
@@ -257,9 +270,11 @@ def test_deciders_agree_on_empty_and_single_products(lams):
     # the empty product is the unit class, and one class is its own product
     assert horn_verdict(lams, 3, 7).nonzero
     assert lr_oracle(lams, 3, 7)
-    assert numeric_verdict(lams, 3, 7) == Verdict(True, "numeric")
+    # the unit class meets the whole 3 x 4 grid, and one class its |lam| cells
+    dim = lams[0].weight if lams else 12
+    assert transversality_verdict(lams, 3, 7) == TransversalityReport(True, dim, dim)
     with pytest.raises(ValueError, match="91"):
-        numeric_verdict(lams, 3, 7, p=91)
+        transversality_verdict(lams, 3, 7, p=91)
 
 
 def test_verdict_dimensional_shortfall():
@@ -512,7 +527,7 @@ def _sweep(r, n, s):
     for lams in itertools.product(list(all_partitions(r, n - r)), repeat=s):
         h = horn_verdict(lams, r, n).nonzero
         l = lr_oracle(lams, r, n)
-        m = numeric_verdict(lams, r, n).nonzero
+        m = transversality_verdict(lams, r, n).nonzero
         assert h == l == m, (lams, h, l, m)
 
 
@@ -614,39 +629,31 @@ def test_cold_nonzero_gr714_triple():
 def test_numeric_verdict_rejects_composite_prime():
     lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
     with pytest.raises(ValueError, match="91"):
-        numeric_verdict(lams, 3, 7, p=91)
+        transversality_verdict(lams, 3, 7, p=91)
     # the tangent-layer entry points validate p themselves
     with pytest.raises(ValueError, match="p = 4 "):
         generic_tangents(lams, p=4)
-    with pytest.raises(ValueError, match="p = 4 "):
-        two_step_translate(StepString("02101", 2), 1, 3, 5, p=4)
 
 
 def test_numeric_entry_points_read_p_and_trials_as_integers():
     lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
     with pytest.raises(ValueError, match="7.0 is not an integer"):
-        numeric_verdict(lams, 3, 7, p=7.0)
-    with pytest.raises(ValueError, match="7.0 is not an integer"):
-        transversality_verdict(lams, p=7.0)
+        transversality_verdict(lams, 3, 7, p=7.0)
     with pytest.raises(ValueError, match="7.0 is not an integer"):
         generic_tangents(lams, p=7.0)
     for bad, match in ((2.5, "2.5 is not"), ("3", "'3' is not"), (0, "got 0")):
         with pytest.raises(ValueError, match=match):
-            transversality_verdict(lams, trials=bad)
-        with pytest.raises(ValueError, match=match):
-            numeric_verdict(lams, 3, 7, trials=bad)
+            transversality_verdict(lams, 3, 7, trials=bad)
         # the empty product checks trials as it checks p
         with pytest.raises(ValueError, match=match):
-            numeric_verdict((), 3, 7, trials=bad)
-    assert numeric_verdict((), 3, 7, trials=1).nonzero
+            transversality_verdict((), 3, 7, trials=bad)
+    assert transversality_verdict((), 3, 7, trials=1).nonzero
     # a seed is read as an integer too: derive_seed would hash 1.0 apart from 1
     for bad, match in ((1.0, "1.0 is not"), ("1", "'1' is not")):
         for call in (
             lambda: generic_tangents(lams, seed=bad),
-            lambda: transversality_verdict(lams, seed=bad),
-            lambda: numeric_verdict(lams, 3, 7, seed=bad),
-            lambda: numeric_verdict((), 3, 7, seed=bad),
-            lambda: two_step_translate(StepString("02101", 2), 1, 3, 5, seed=bad),
+            lambda: transversality_verdict(lams, 3, 7, seed=bad),
+            lambda: transversality_verdict((), 3, 7, seed=bad),
         ):
             with pytest.raises(ValueError, match=match):
                 call()
@@ -655,7 +662,6 @@ def test_numeric_entry_points_read_p_and_trials_as_integers():
     sigma = StepString("02101", 2)
     for call, match in (
         (lambda: hat_Y(sigma, 1, 3.0, 5), "3.0 is not"),
-        (lambda: two_step_translate(sigma, 1.0, 3, 5), "1.0 is not"),
         (lambda: list(all_partitions(2.0, 2)), "2.0 is not"),
         (lambda: list(all_partitions(2, "2")), "'2' is not"),
     ):
@@ -663,7 +669,10 @@ def test_numeric_entry_points_read_p_and_trials_as_integers():
             call()
 
 
-def test_numeric_verdict_tags():
-    lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
-    v = numeric_verdict(lams, 3, 7)
-    assert v.method == "numeric" and not v.nonzero
+def test_numeric_report_writes_the_golden_numeric_document():
+    # the CLI prints to_json_dict() as is, so its keys come in golden order
+    lams = (Partition((0, 1, 3, 3), 5), Partition((3, 3, 3, 5), 5))
+    doc = transversality_verdict(lams, 4, 9).to_json_dict()
+    golden = json.loads((GOLDEN / "check_gr49.json").read_text())
+    assert list(doc.items()) == list(golden["methods"]["numeric"].items())
+    assert list(doc) == ["nonzero", "method", "violated", "achieved_dim", "expected_dim"]

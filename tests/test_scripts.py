@@ -11,8 +11,9 @@ import sys
 
 import pytest
 
-from hornkit.horn import Verdict, lr_oracle, numeric_verdict
+from hornkit.horn import lr_oracle
 from hornkit.strings import all_partitions
+from hornkit.tangent import TransversalityReport, transversality_verdict
 from hornkit.witness import GenericityExhausted
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -46,10 +47,10 @@ def test_random_sweep_asks_the_numeric_decider(monkeypatch, capsys):
     assert sweep.sweep_random(3, 6, 3, 20, 0, 3)[::2] == (20, 0)
 
     def flipped(lams, r, n, seed, trials):
-        real = numeric_verdict(lams, r, n, seed=seed, trials=trials)
-        return Verdict(not real.nonzero, "numeric")
+        real = transversality_verdict(lams, r, n, seed=seed, trials=trials)
+        return TransversalityReport(not real.nonzero, real.achieved_dim, real.expected_dim)
 
-    monkeypatch.setattr(sweep, "numeric_verdict", flipped)
+    monkeypatch.setattr(sweep, "transversality_verdict", flipped)
     capsys.readouterr()
     assert sweep.sweep_random(3, 6, 3, 20, 0, 3)[::2] == (20, 20)
     assert capsys.readouterr().err.count("MISMATCH") == 20

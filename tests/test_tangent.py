@@ -9,6 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _twostep
+from _twostep import (
+    induced_flag,
+    minimal_coordinate_flag,
+    quotient_pattern,
+    two_step_translate,
+)
 from hornkit import tangent
 from hornkit.exactla import (
     DEFAULT_PRIME,
@@ -36,10 +43,7 @@ from hornkit.tangent import (
     generic_tangents,
     hat_X,
     hat_Y,
-    induced_flag,
-    minimal_coordinate_flag,
     opposite_cells,
-    quotient_pattern,
     render_cells,
     render_overlay,
     render_pattern,
@@ -47,7 +51,6 @@ from hornkit.tangent import (
     tangent_equations,
     tangents_with_flags,
     transversality_verdict,
-    two_step_translate,
 )
 
 P = DEFAULT_PRIME
@@ -242,7 +245,8 @@ def _verdict_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_verdict_matches_reduced_row_echelon_reference(case):
     lams, seed, trials, p = case
-    assert transversality_verdict(lams, seed, trials, p) == _reference_verdict(
+    r, n = lams[0].r, lams[0].n
+    assert transversality_verdict(lams, r, n, seed, trials, p) == _reference_verdict(
         lams, seed, trials, p
     )
 
@@ -642,20 +646,20 @@ def test_quotient_pattern_fixture():
 def test_transversality_printed_pair():
     lams = (Partition((0, 1, 3, 3), 5), Partition((3, 3, 3, 5), 5))
     for seed in range(5):
-        rep = transversality_verdict(lams, seed=seed)
+        rep = transversality_verdict(lams, 4, 9, seed=seed)
         assert (rep.nonzero, rep.achieved_dim, rep.expected_dim) == (False, 2, 1)
 
 
 def test_transversality_first_witness_pair():
     lams = (Partition((0, 3, 3), 4), Partition((1, 3, 3), 4))
-    rep = transversality_verdict(lams)
+    rep = transversality_verdict(lams, 3, 7)
     assert not rep.nonzero
 
 
 def test_transversality_unit_classes():
     # all-max partitions: full tangent spaces, transverse by construction
     lams = (Partition((4, 4), 4), Partition((4, 4), 4))
-    rep = transversality_verdict(lams)
+    rep = transversality_verdict(lams, 2, 6)
     assert rep.nonzero and rep.achieved_dim == rep.expected_dim == 8
 
 
@@ -663,7 +667,7 @@ def test_transversality_point_classes():
     # all-zero partitions: zero-dimensional tangents; the virtual dimension
     # is negative, so the product of two point classes vanishes
     lams = (Partition((0, 0), 4), Partition((0, 0), 4))
-    rep = transversality_verdict(lams)
+    rep = transversality_verdict(lams, 2, 6)
     assert not rep.nonzero
     assert rep.achieved_dim == 0 and rep.expected_dim == -8
 
@@ -672,7 +676,7 @@ def test_transversality_negative_virtual_dimension():
     # (0,1)^3 in a 2x2 box: intersection is {0} yet the product vanishes —
     # the verdict must compare against the unclamped virtual dimension
     lams = (Partition((0, 1), 2),) * 3
-    rep = transversality_verdict(lams)
+    rep = transversality_verdict(lams, 2, 4)
     assert rep.achieved_dim == 0
     assert rep.expected_dim == -5
     assert not rep.nonzero
@@ -780,9 +784,22 @@ def test_two_step_translate_checks_its_dimension(monkeypatch):
         def from_spanning(cls, vectors, ambient_dim, p):
             return Subspace.zero(ambient_dim, p)
 
-    monkeypatch.setattr(tangent, "Subspace", Deficient)
+    monkeypatch.setattr(_twostep, "Subspace", Deficient)
     with pytest.raises(RuntimeError, match="cell dimension"):
         two_step_translate(StepString("02101", 2), 1, 3, 5)
+
+
+def test_two_step_translate_reads_p_seed_and_shape():
+    sigma = StepString("02101", 2)
+    with pytest.raises(ValueError, match="p = 4 "):
+        two_step_translate(sigma, 1, 3, 5, p=4)
+    # derive_seed would hash 1.0 apart from 1, and range() would raise a
+    # bare TypeError on a float shape
+    for bad, match in ((1.0, "1.0 is not"), ("1", "'1' is not")):
+        with pytest.raises(ValueError, match=match):
+            two_step_translate(sigma, 1, 3, 5, seed=bad)
+    with pytest.raises(ValueError, match="1.0 is not"):
+        two_step_translate(sigma, 1.0, 3, 5)
 
 
 def _block_layers(sigmas, d, r, n, seed):

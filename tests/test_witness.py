@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornkit.witness as witness
+from _twostep import induced_flag, quotient_pattern
 from hornkit.exactla import DEFAULT_PRIME, Subspace, derive_seed, intersect
 from hornkit.horn import HornInequality, lr_oracle
 from hornkit.strings import (
@@ -22,8 +23,6 @@ from hornkit.strings import (
 from hornkit.tangent import (
     FlagModel,
     X_from_flags,
-    induced_flag,
-    quotient_pattern,
     schubert_position,
     tangent_equations,
 )
