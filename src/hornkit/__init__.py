@@ -11,13 +11,10 @@ from .strings import (
     Partition,
     StepString,
     all_partitions,
-    cell_dimension,
     format_partition,
-    horn_indices,
     lift,
     parse_partition,
     partition_to_string,
-    project_j,
     string_to_partition,
     substring_uv,
 )
@@ -50,13 +47,10 @@ __all__ = [
     "Partition",
     "StepString",
     "all_partitions",
-    "cell_dimension",
     "format_partition",
-    "horn_indices",
     "lift",
     "parse_partition",
     "partition_to_string",
-    "project_j",
     "string_to_partition",
     "substring_uv",
     "HornInequality",

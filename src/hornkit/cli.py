@@ -123,10 +123,10 @@ def _print_json(doc: dict) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.trials < 1:
+    wanted = ("horn", "lr", "numeric") if args.method == "all" else (args.method,)
+    if "numeric" in wanted and args.trials < 1:
         raise CLIError("--trials must be at least 1")
     lams, r, n = parse_classes(args.classes)
-    wanted = ("horn", "lr", "numeric") if args.method == "all" else (args.method,)
     methods: dict[str, dict] = {}
     for name in wanted:
         if name == "horn":

@@ -11,19 +11,23 @@ equations with one nullspace; ``intersect`` first turns bases into them.
 Every elimination runs one forward-elimination core, ``_echelon``: it
 scales each pivot row to a leading 1 and clears the rows below, never
 those above.  Each caller then does only the work whose result it reads.
-``Mat.rank`` counts the pivots and back-substitutes nothing; so does
-the numeric decider, ``hornkit.tangent.transversality_verdict``, which
-reads only the rank of its equations.  The others back-substitute
+``Mat.rank`` counts the pivots and back-substitutes nothing; so do the
+numeric decider, ``hornkit.tangent.transversality_verdict``, which reads
+only the rank of its equations, and ``hornkit.tangent.schubert_position``,
+which reads only the pivot columns.  The others back-substitute
 bottom-up with ``_back_substitute``, which works on the pivot-free
 columns only (a reduced row is 1 at its own pivot and 0 at the others)
 and computes each entry there as one dot product with the rows already
 solved below it:
 
-- ``rref`` (and so ``Subspace.from_spanning`` and ``Subspace.contains``)
-  writes out the full reduced rows;
-- ``Mat.nullspace`` and ``Subspace.from_equations`` read the pivot rows
-  at the free columns, which is all a nullspace basis needs; the
-  equations are coerced and reduced mod p once, on the way in;
+- ``rref`` (and so ``Subspace.from_spanning``) writes out the full
+  reduced rows;
+- ``_nullspace`` reads the pivot rows at the free columns, which is all
+  a nullspace basis needs.  It takes rows already reduced mod p, so the
+  kernel descent (``hornkit.witness``) calls it on its tangent systems
+  and on the sampled map's rows as they are; ``Mat.nullspace`` and
+  ``Subspace.from_equations`` call it too, the latter after coercing and
+  reducing the equations once, on the way in;
 - ``Mat.inverse`` eliminates [M | I], whose free columns are n..2n-1 when
   M is invertible, and reads the inverse from those values directly.  It
   runs as two halves: ``_start_inverse``, the echelon and the singularity
@@ -296,9 +300,6 @@ class Mat(Record):
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
-    def columns(self, js: Sequence[int]) -> "Mat":
-        return Mat(tuple(tuple(row[j] for j in js) for row in self.data), self.p)
-
     def inverse(self) -> "Mat":
         return self._finish_inverse(self._start_inverse())
 
@@ -362,24 +363,12 @@ class Subspace(Record):
         return _nullspace(work, ambient_dim, p)
 
     @classmethod
-    def zero(cls, ambient_dim: int, p: int) -> "Subspace":
-        return cls(ambient_dim, p, ())
-
-    @classmethod
     def full(cls, ambient_dim: int, p: int) -> "Subspace":
         return cls(ambient_dim, p, Mat.identity(ambient_dim, p).data)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector: Sequence[int]) -> bool:
-        stacked, _ = rref(self.basis + (tuple(vector),), self.ambient_dim, self.p)
-        return len(stacked) == self.dim
-
-    def annihilator(self) -> "Subspace":
-        """{f : f(v) = 0 for all v in the subspace}, via the basis nullspace."""
-        return Subspace.from_equations(self.basis, self.ambient_dim, self.p)
 
     def random_element(self, rng: random.Random) -> tuple[int, ...]:
         vec = [0] * self.ambient_dim
@@ -398,7 +387,8 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
         raise ValueError("subspaces live in different ambient spaces")
     functionals: list[tuple[int, ...]] = []
     for s in spaces:
-        functionals.extend(s.annihilator().basis)
+        # ann(Vi) is the nullspace of Vi's basis rows
+        functionals.extend(Subspace.from_equations(s.basis, ambient, p).basis)
     return Subspace.from_equations(functionals, ambient, p)
 
 

@@ -9,9 +9,12 @@ cell in the Grassmannian of r-planes in (r + cap)-space.
 
 Step strings over the alphabet {0, ..., k} index positions on multi-step
 flag manifolds; k = 2 is the two-step case used by the kernel-descent
-witness.  The substring and projection operators slice a 012-string back
-down to 01-strings, and ``lift`` goes the other way: it refines a
-01-string by marking a subset of its '1's as '2's.
+witness.  ``substring_uv`` slices a 012-string back down to a 01-string,
+and ``lift`` goes the other way: it refines a 01-string by marking a
+subset of its '1's as '2's.  The paper's other string identities (the
+projections, the Horn index sets of a 012-string, the two-step cell
+dimension) are illustrations of its proof that no decider runs; they
+live with the tests that check them, in ``tests/_twostep.py``.
 
 ``Partition`` and ``StepString`` are immutable value records
 (``hornkit._record``): equal when their fields are, hashable, and
@@ -31,12 +34,8 @@ __all__ = [
     "partition_to_string",
     "string_to_partition",
     "substring_uv",
-    "project_j",
-    "cell_dimension",
     "lift",
-    "horn_indices",
     "all_partitions",
-    "all_step_words",
     "parse_partition",
     "format_partition",
 ]
@@ -114,9 +113,6 @@ class StepString(Record):
         """Multiplicity of each letter 0..k."""
         return tuple(self.word.count(str(j)) for j in range(self.k + 1))
 
-    def letters(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.word)
-
     def positions(self, letter: int) -> tuple[int, ...]:
         """1-based positions carrying the given letter, ascending."""
         c = str(letter)
@@ -165,34 +161,6 @@ def substring_uv(sigma: StepString, u: int, v: int) -> StepString:
     return StepString(word, 1)
 
 
-def project_j(sigma: StepString, j: int) -> StepString:
-    """Letterwise threshold: letters above k - j become '1', the rest '0'.
-
-    project_j(sigma, k) merges every nonzero letter into '1';
-    project_j(sigma, 1) isolates the largest letter.
-    """
-    if not 1 <= j <= sigma.k:
-        raise ValueError(f"projection index must be in 1..{sigma.k}, got {j}")
-    cut = sigma.k - j
-    word = "".join("1" if int(c) > cut else "0" for c in sigma.word)
-    return StepString(word, 1)
-
-
-def cell_dimension(sigma: StepString) -> int:
-    """Number of strictly increasing pairs of letters (l < l', sigma_l < sigma_l').
-
-    For a 01-string this is the weight of the associated partition.
-    """
-    letters = sigma.letters()
-    # counts[x] = how many copies of letter x have been seen so far
-    counts = [0] * (sigma.k + 1)
-    total = 0
-    for x in letters:
-        total += sum(counts[:x])
-        counts[x] += 1
-    return total
-
-
 def lift(tau: StepString, rho: StepString) -> StepString:
     """Refine the 01-string tau by the 01-string rho: the k-th '1' of tau
     becomes '2' exactly when the k-th letter of rho is '1'.
@@ -217,43 +185,11 @@ def lift(tau: StepString, rho: StepString) -> StepString:
     return StepString("".join(out), 2)
 
 
-def horn_indices(sigma: StepString) -> tuple[int, ...]:
-    """1-based positions of the '2's of a 012-string.
-
-    Equivalently: with mu the partition of the (1,2)-substring, these are
-    the positions of the (mu_k + k)-th '1's of the 01-projection.  Both
-    computations are performed and must agree.
-    """
-    if sigma.k != 2:
-        raise ValueError("horn_indices expects a 012-string")
-    direct = sigma.positions(2)
-    mu = string_to_partition(substring_uv(sigma, 1, 2))
-    ones = project_j(sigma, 2).positions(1)
-    via_mu = tuple(ones[m + k - 1] for k, m in enumerate(mu.parts, start=1))
-    if direct != via_mu:
-        raise RuntimeError(f"index computations disagree: {direct} vs {via_mu}")
-    return direct
-
-
 def all_partitions(r: int, cap: int) -> Iterator[Partition]:
     """All of Lambda(r, cap) in lexicographic order of the part tuples."""
     r, cap = integer(r), integer(cap)
     for parts in itertools.combinations_with_replacement(range(cap + 1), r):
         yield Partition(parts, cap)
-
-
-def all_step_words(counts: tuple[int, ...]) -> Iterator[str]:
-    """All words with the given letter multiplicities, lexicographically."""
-    total = sum(counts)
-    if total == 0:
-        yield ""
-        return
-    for letter, c in enumerate(counts):
-        if c == 0:
-            continue
-        rest = counts[:letter] + (c - 1,) + counts[letter + 1 :]
-        for tail in all_step_words(rest):
-            yield str(letter) + tail
 
 
 # CLI text syntax: "0,1,3,3/4x5" is the partition (0,1,3,3) in Lambda(4,5).

@@ -28,6 +28,12 @@ as its invertibility check, and finishes the inverse the first time it
 is read.  The equations read the destination flags' inverses, and
 ``schubert_position`` and the two-class cells read source flags', so the
 stacked system of three or more classes finishes no source flag.
+``schubert_position`` reads a subspace's jumps off the pivot columns of
+one forward elimination (``exactla._echelon``) of its basis in flag
+coordinates.  Only random flags are drawn here; the coordinate flags the
+paper's lemmas start from (standard, opposite) and flag steps as
+subspaces are built by the tests that check those lemmas
+(``tests/_twostep.py``).
 
 Vanishing of a product of Schubert classes is decided numerically by
 intersecting seeded random translates of these tangent models over a big
@@ -63,14 +69,12 @@ from ._record import Record, integer, setfield
 from .exactla import (
     DEFAULT_PRIME,
     Mat,
-    Rows,
     Subspace,
     _bruhat,
     _echelon,
     check_prime,
     derive_seed,
     random_matrix,
-    rref,
 )
 from .strings import Partition, StepString, _check_box
 
@@ -135,16 +139,6 @@ class FlagModel(Record):
         return self.matrix.p
 
     @classmethod
-    def standard(cls, m: int, p: int = DEFAULT_PRIME) -> "FlagModel":
-        return cls(Mat.identity(m, p))
-
-    @classmethod
-    def opposite(cls, m: int, p: int = DEFAULT_PRIME) -> "FlagModel":
-        """The standard flag in reversed coordinate order."""
-        ident = Mat.identity(m, p)
-        return cls(ident.columns(list(range(m - 1, -1, -1))))
-
-    @classmethod
     def random(cls, m: int, rng: random.Random, p: int = DEFAULT_PRIME) -> "FlagModel":
         """Rejection-sample a flag matrix (almost surely the first draw)."""
         while True:
@@ -159,13 +153,6 @@ class FlagModel(Record):
         if not 1 <= l <= self.size:
             raise ValueError(f"flag vector {l} outside 1..{self.size}")
         return self.matrix.column(l - 1)
-
-    def step(self, l: int) -> Subspace:
-        """The l-th flag step as a subspace (l = 0 gives the zero space)."""
-        if not 0 <= l <= self.size:
-            raise ValueError(f"flag step {l} outside 0..{self.size}")
-        vectors = [self.matrix.column(j) for j in range(l)]
-        return Subspace.from_spanning(vectors, self.size, self.p)
 
 
 def hat_X(lam: Partition) -> frozenset[tuple[int, int]]:
@@ -357,12 +344,13 @@ def _random_system(
 def generic_tangents(
     lams: Sequence[Partition], seed: int = 0, p: int = DEFAULT_PRIME
 ) -> list[tuple[int, ...]]:
-    """Stacked tangent equations from independent seeded random flags."""
-    if not lams:
-        raise ValueError("need at least one partition")
-    _check_box(lams, lams[0].r, lams[0].n)
+    """Stacked tangent equations from independent seeded random flags.  The
+    empty product is the unit class: the whole grid, with no equations."""
     seed = integer(seed)
     check_prime(p)
+    if not lams:
+        return []
+    _check_box(lams, lams[0].r, lams[0].n)
     pairs = _random_flags(lams, _tangent_labels(seed, len(lams)), p)
     return tangents_with_flags(lams, pairs)
 
@@ -429,26 +417,20 @@ def transversality_verdict(
     return TransversalityReport(achieved == expected, achieved, expected)
 
 
-def _flag_echelon(v: Subspace, flag: FlagModel) -> tuple[Rows, tuple[int, ...]]:
-    """RREF of V's basis in flag coordinates, last coordinate first.
+def schubert_position(v: Subspace, flag: FlagModel) -> StepString:
+    """The 01-string recording where dim(V intersect flag step) jumps.
 
-    A row with pivot column k has its last nonzero flag coordinate at
-    flag vector n - k, so it is a vector of V that enters at step n - k;
-    the rows with pivots >= n - l span V intersect flag step l.
+    V's basis in flag coordinates, last coordinate first, is echelonized:
+    a pivot in column k marks a vector of V whose last nonzero flag
+    coordinate is at flag vector n - k, so it enters at step n - k.
+    Only the pivot columns are read, so nothing is back-substituted.
     """
     if v.ambient_dim != flag.size or v.p != flag.p:
         raise ValueError("subspace and flag live in different ambient spaces")
+    n, p = flag.size, flag.p
     dual = flag.inverse.data[::-1]
-    coords = [
-        tuple(sum(a * x for a, x in zip(drow, vec)) for drow in dual) for vec in v.basis
-    ]
-    return rref(coords, flag.size, flag.p)
-
-
-def schubert_position(v: Subspace, flag: FlagModel) -> StepString:
-    """The 01-string recording where dim(V intersect flag step) jumps."""
-    n = flag.size
-    entered = {n - k for k in _flag_echelon(v, flag)[1]}
+    coords = [[sum(map(mul, drow, vec)) % p for drow in dual] for vec in v.basis]
+    entered = {n - k for k, _ in _echelon(coords, n, p)}
     word = "".join("1" if l in entered else "0" for l in range(1, n + 1))
     return StepString(word, 1)
 

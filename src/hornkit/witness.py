@@ -13,7 +13,11 @@ explicit index-tracking strings.  Each level's intersection is the
 mapped-back nullspace of the random tangent system that ``tangent`` also
 builds for the numeric verdict, with its seeds labelled by level and
 attempt; for two classes that is the span of their common cells, with
-no stacked equations to eliminate.
+no stacked equations to eliminate.  The sampled map's kernel is the
+nullspace of its rows.  Both nullspaces come straight from the
+elimination core (``exactla._nullspace``), on rows already reduced mod p,
+and the kernel positions read only the pivots of an echelon
+(``tangent.schubert_position``).
 
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
@@ -31,7 +35,6 @@ from collections.abc import Iterator, Mapping, Sequence
 from ._record import Record, integer
 from .exactla import (
     DEFAULT_PRIME,
-    Mat,
     Subspace,
     _nullspace,
     check_prime,
@@ -148,12 +151,6 @@ def _words(value: object) -> tuple[str, ...]:
     return words
 
 
-def _unvec(vec: Sequence[int], rows: int, cols: int, p: int) -> Mat:
-    return Mat(
-        tuple(tuple(vec[a * cols + b] for b in range(cols)) for a in range(rows)), p
-    )
-
-
 def _sample_nonzero(space: Subspace, rng: random.Random) -> tuple[int, ...]:
     for _ in range(16):
         vec = space.random_element(rng)
@@ -187,8 +184,10 @@ def _levels(
             rng = random.Random(derive_seed(sub, "phi"))
             kernels = []
             for _ in range(2):
+                # phi: a row-major cap x r grid vector, already reduced mod p
                 phi = _sample_nonzero(meet, rng)
-                kernels.append(_unvec(phi, cap, r, p).nullspace())
+                phi_rows = [phi[a : a + r] for a in range(0, cap * r, r)]
+                kernels.append(_nullspace(phi_rows, r, p))
             if kernels[0].dim != kernels[1].dim:
                 last_error = "kernel dimension differed between samples"
                 continue

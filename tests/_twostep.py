@@ -1,18 +1,27 @@
 """The paper's two-step geometry, for the tests of its lemmas.
 
-No production path reads these; the tests that check the kernel descent's
-lemmas do.  A generic translate of the two-step tangent model
-(``two_step_translate``), the flags a flag induces on a subspace and on
-its quotient (``induced_flag``), the quotient's tangent pattern
-(``quotient_pattern``), the coordinate flag that puts the standard base
-point in a given position (``minimal_coordinate_flag``), and subspace
-containment (``contains_subspace``).
+No production path reads these; the tests that check the paper's string
+identities and the kernel descent's lemmas do.
+
+- String identities: the projections of a step string (``project_j``),
+  the two-step cell dimension (``cell_dimension``), the Horn index sets
+  of a 012-string (``horn_indices``), and every word with given letter
+  counts (``all_step_words``).
+- Flags: the standard and opposite coordinate flags (``standard_flag``,
+  ``opposite_flag``), a flag step as a subspace (``flag_step``), and the
+  flags a flag induces on a subspace and on its quotient
+  (``induced_flag``).
+- A generic translate of the two-step tangent model
+  (``two_step_translate``), the quotient's tangent pattern
+  (``quotient_pattern``), the coordinate flag that puts the standard base
+  point in a given position (``minimal_coordinate_flag``), and subspace
+  containment (``contains_subspace``).
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from hornkit._record import integer
 from hornkit.exactla import (
@@ -23,8 +32,85 @@ from hornkit.exactla import (
     derive_seed,
     rref,
 )
-from hornkit.strings import Partition, StepString
-from hornkit.tangent import FlagModel, _flag_echelon, eta_word, hat_Y
+from hornkit.strings import Partition, StepString, string_to_partition, substring_uv
+from hornkit.tangent import FlagModel, eta_word, hat_Y
+
+
+def project_j(sigma: StepString, j: int) -> StepString:
+    """Letterwise threshold: letters above k - j become '1', the rest '0'.
+
+    project_j(sigma, k) merges every nonzero letter into '1';
+    project_j(sigma, 1) isolates the largest letter.
+    """
+    if not 1 <= j <= sigma.k:
+        raise ValueError(f"projection index must be in 1..{sigma.k}, got {j}")
+    cut = sigma.k - j
+    word = "".join("1" if int(c) > cut else "0" for c in sigma.word)
+    return StepString(word, 1)
+
+
+def cell_dimension(sigma: StepString) -> int:
+    """Number of strictly increasing pairs of letters (l < l', sigma_l < sigma_l').
+
+    For a 01-string this is the weight of the associated partition.
+    """
+    # counts[x] = how many copies of letter x have been seen so far
+    counts = [0] * (sigma.k + 1)
+    total = 0
+    for x in map(int, sigma.word):
+        total += sum(counts[:x])
+        counts[x] += 1
+    return total
+
+
+def horn_indices(sigma: StepString) -> tuple[int, ...]:
+    """1-based positions of the '2's of a 012-string.
+
+    Equivalently: with mu the partition of the (1,2)-substring, these are
+    the positions of the (mu_k + k)-th '1's of the 01-projection.  Both
+    computations are performed and must agree.
+    """
+    if sigma.k != 2:
+        raise ValueError("horn_indices expects a 012-string")
+    direct = sigma.positions(2)
+    mu = string_to_partition(substring_uv(sigma, 1, 2))
+    ones = project_j(sigma, 2).positions(1)
+    via_mu = tuple(ones[m + k - 1] for k, m in enumerate(mu.parts, start=1))
+    if direct != via_mu:
+        raise RuntimeError(f"index computations disagree: {direct} vs {via_mu}")
+    return direct
+
+
+def all_step_words(counts: tuple[int, ...]) -> Iterator[str]:
+    """All words with the given letter multiplicities, lexicographically."""
+    total = sum(counts)
+    if total == 0:
+        yield ""
+        return
+    for letter, c in enumerate(counts):
+        if c == 0:
+            continue
+        rest = counts[:letter] + (c - 1,) + counts[letter + 1 :]
+        for tail in all_step_words(rest):
+            yield str(letter) + tail
+
+
+def standard_flag(m: int, p: int = DEFAULT_PRIME) -> FlagModel:
+    """Step l is spanned by the first l coordinate vectors."""
+    return FlagModel(Mat.identity(m, p))
+
+
+def opposite_flag(m: int, p: int = DEFAULT_PRIME) -> FlagModel:
+    """The standard flag in reversed coordinate order."""
+    return FlagModel(Mat(tuple(row[::-1] for row in Mat.identity(m, p).data), p))
+
+
+def flag_step(flag: FlagModel, l: int) -> Subspace:
+    """The l-th flag step as a subspace (l = 0 gives the zero space)."""
+    if not 0 <= l <= flag.size:
+        raise ValueError(f"flag step {l} outside 0..{flag.size}")
+    vectors = [flag.matrix.column(j) for j in range(l)]
+    return Subspace.from_spanning(vectors, flag.size, flag.p)
 
 
 def contains_subspace(space: Subspace, other: Subspace) -> bool:
@@ -38,15 +124,24 @@ def contains_subspace(space: Subspace, other: Subspace) -> bool:
 def induced_flag(flag: FlagModel, v: Subspace) -> tuple[FlagModel, FlagModel]:
     """Flags induced on a subspace and on its quotient.
 
-    The echelon rows of ``_flag_echelon``, taken in the order their steps
-    enter V, give a full flag on V (steps where the position string has a
-    '1'); the images of the remaining flag vectors give a full flag on the
-    quotient.  V is returned in the coordinates of its canonical basis; the
-    quotient in the non-pivot coordinates, via reduction modulo V.
+    V's basis is put in flag coordinates, last coordinate first, and
+    reduced: a row with pivot column k has its last nonzero flag
+    coordinate at flag vector n - k, so it is a vector of V that enters at
+    step n - k.  These rows, taken in the order their steps enter V, give
+    a full flag on V (steps where the position string has a '1'); the
+    images of the remaining flag vectors give a full flag on the quotient.
+    V is returned in the coordinates of its canonical basis; the quotient
+    in the non-pivot coordinates, via reduction modulo V.
     """
     p = flag.p
     n = flag.size
-    rows, flag_pivots = _flag_echelon(v, flag)
+    if v.ambient_dim != n or v.p != p:
+        raise ValueError("subspace and flag live in different ambient spaces")
+    dual = flag.inverse.data[::-1]
+    coords = [
+        tuple(sum(a * x for a, x in zip(drow, vec)) for drow in dual) for vec in v.basis
+    ]
+    rows, flag_pivots = rref(coords, n, p)
     entered = {n - k for k in flag_pivots}
     pivots = tuple(next(j for j, x in enumerate(row) if x) for row in v.basis)
     nonpivots = [j for j in range(n) if j not in set(pivots)]

@@ -6,18 +6,15 @@ import json
 import pathlib
 import time
 
+from _twostep import all_step_words, cell_dimension, horn_indices, project_j
 from hornkit import cli
 from hornkit.horn import horn_verdict, lr_oracle
 from hornkit.strings import (
     Partition,
     StepString,
     all_partitions,
-    all_step_words,
-    cell_dimension,
-    horn_indices,
     lift,
     partition_to_string,
-    project_j,
     string_to_partition,
     substring_uv,
 )

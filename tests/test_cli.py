@@ -396,6 +396,14 @@ def test_run_config_validation(capsys):
     assert code == 2 and out == ""
 
 
+def test_trials_are_checked_only_where_the_numeric_method_runs(capsys):
+    for method in ("horn", "lr"):
+        code, out, _ = run(capsys, ["check", MID, "--method", method, "--trials", "0"])
+        assert code == 10 and json.loads(out)["nonzero"] is False
+    code, out, err = run(capsys, ["check", MID, "--method", "numeric", "--trials", "0"])
+    assert code == 2 and out == "" and "--trials must be at least 1" in err
+
+
 def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(97) and is_prime(2147483647)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**31)

@@ -23,7 +23,6 @@ from hornkit.strings import (
     Partition,
     StepString,
     all_partitions,
-    horn_indices,
     lift,
     partition_to_string,
     string_to_partition,
@@ -521,19 +520,6 @@ def test_lr_oracle_matches_full_expansion_when_tight(case):
 
 
 # --- three-way agreement ----------------------------------------------------------
-
-
-def _sweep(r, n, s):
-    for lams in itertools.product(list(all_partitions(r, n - r)), repeat=s):
-        h = horn_verdict(lams, r, n).nonzero
-        l = lr_oracle(lams, r, n)
-        m = transversality_verdict(lams, r, n).nonzero
-        assert h == l == m, (lams, h, l, m)
-
-
-def test_agreement_small_exhaustive():
-    _sweep(2, 4, 2)
-    _sweep(2, 5, 2)
 
 
 def test_agreement_random_battery_3_7_3():

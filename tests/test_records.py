@@ -8,6 +8,7 @@ import pickle
 
 import pytest
 
+from _twostep import standard_flag
 from hornkit.exactla import Mat, Subspace, rref
 from hornkit.horn import HornInequality, Verdict, Violation
 from hornkit.strings import Partition, StepString
@@ -175,7 +176,7 @@ def test_flag_model_keeps_its_inverse_out_of_the_value():
     assert flag.inverse.mul(flag.matrix) == Mat.identity(2, 7)
     assert "inverse" not in repr(flag)
     assert hash(flag) == hash((flag.matrix,))
-    assert FlagModel.standard(3, 7).inverse == Mat.identity(3, 7)
+    assert standard_flag(3, 7).inverse == Mat.identity(3, 7)
     assert FlagModel(Mat((), 7)).size == 0
 
 

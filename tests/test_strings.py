@@ -6,18 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _twostep import all_step_words, cell_dimension, horn_indices, project_j
 from hornkit.strings import (
     Partition,
     StepString,
     all_partitions,
-    all_step_words,
-    cell_dimension,
     format_partition,
-    horn_indices,
     lift,
     parse_partition,
     partition_to_string,
-    project_j,
     string_to_partition,
     substring_uv,
 )

@@ -11,9 +11,16 @@ from hypothesis import strategies as st
 
 import _twostep
 from _twostep import (
+    all_step_words,
+    cell_dimension,
+    contains_subspace,
+    flag_step,
     induced_flag,
     minimal_coordinate_flag,
+    opposite_flag,
+    project_j,
     quotient_pattern,
+    standard_flag,
     two_step_translate,
 )
 from hornkit import tangent
@@ -30,8 +37,6 @@ from hornkit.strings import (
     Partition,
     StepString,
     all_partitions,
-    all_step_words,
-    cell_dimension,
     partition_to_string,
     string_to_partition,
     substring_uv,
@@ -115,7 +120,7 @@ def test_pattern_subspace_roundtrip():
     # row-major vectorization: cell (a, b) -> coordinate (a-1)*cols + (b-1)
     vec = [0] * 6
     vec[(1 - 1) * 2 + (1 - 1)] = 1
-    assert sub.contains(tuple(vec))
+    assert contains_subspace(sub, Subspace.from_spanning([vec], 6, P))
 
 
 # --- X_from_flags and tangent equations ----------------------------------------
@@ -123,15 +128,15 @@ def test_pattern_subspace_roundtrip():
 
 def test_X_standard_flags_equals_pattern():
     lam = Partition((0, 1, 3, 3), 5)
-    std_src = FlagModel.standard(4, P)
-    std_dst = FlagModel.standard(5, P)
+    std_src = standard_flag(4, P)
+    std_dst = standard_flag(5, P)
     assert X_from_flags(lam, std_src, std_dst) == _pattern_subspace(hat_X(lam), 5, 4)
 
 
 def test_X_opposite_flags_equals_flipped_pattern():
     mu = Partition((3, 3, 3, 5), 5)
-    opp_src = FlagModel.opposite(4, P)
-    opp_dst = FlagModel.opposite(5, P)
+    opp_src = opposite_flag(4, P)
+    opp_dst = opposite_flag(5, P)
     flipped = opposite_cells(hat_X(mu), 4, 4, 9)
     assert X_from_flags(mu, opp_src, opp_dst) == _pattern_subspace(flipped, 5, 4)
 
@@ -140,8 +145,8 @@ def test_opposite_intersection_printed_fixture():
     # standard vs opposite: the printed intersection is cells (3,3) and (3,4)
     lam = Partition((0, 1, 3, 3), 5)
     mu = Partition((3, 3, 3, 5), 5)
-    a = X_from_flags(lam, FlagModel.standard(4, P), FlagModel.standard(5, P))
-    b = X_from_flags(mu, FlagModel.opposite(4, P), FlagModel.opposite(5, P))
+    a = X_from_flags(lam, standard_flag(4, P), standard_flag(5, P))
+    b = X_from_flags(mu, opposite_flag(4, P), opposite_flag(5, P))
     meet = intersect([a, b])
     assert meet == _pattern_subspace({(3, 3), (3, 4)}, 5, 4)
     assert meet.dim == 2  # codim 18, expected codim 19
@@ -268,7 +273,7 @@ def _two_class_systems(draw):
         pairs, *system = tangent._random_system(lams, labels, p)
         return lams, pairs, system
     if kind == "standard":
-        pair = (FlagModel.standard(r, p), FlagModel.standard(cap, p))
+        pair = (standard_flag(r, p), standard_flag(cap, p))
         pairs = (pair, pair)
     else:
         src, dst = FlagModel.random(r, rng, p), FlagModel.random(cap, rng, p)
@@ -276,7 +281,8 @@ def _two_class_systems(draw):
         for perm in perms:
             rng.shuffle(perm)
         moved = tuple(
-            FlagModel(f.matrix.columns(perm)) for f, perm in zip((src, dst), perms)
+            FlagModel(Mat(tuple(tuple(row[j] for j in perm) for row in f.matrix.data), p))
+            for f, perm in zip((src, dst), perms)
         )
         pairs = ((src, dst), moved)
     return lams, pairs, tangent._system(lams, pairs)
@@ -320,15 +326,15 @@ def test_flag_vector_and_step_reject_bad_indices():
             flag.vector(l)
     for l in (-1, 4, 5):
         with pytest.raises(ValueError, match="outside 0..3"):
-            flag.step(l)
+            flag_step(flag, l)
     assert flag.vector(3) == flag.matrix.column(2)
-    assert flag.step(0).dim == 0 and flag.step(3).dim == 3
+    assert flag_step(flag, 0).dim == 0 and flag_step(flag, 3).dim == 3
 
 
 def test_X_flag_size_mismatch():
     with pytest.raises(ValueError):
         X_from_flags(
-            Partition((0, 1), 2), FlagModel.standard(3, P), FlagModel.standard(2, P)
+            Partition((0, 1), 2), standard_flag(3, P), standard_flag(2, P)
         )
 
 
@@ -382,8 +388,8 @@ def test_flag_inverse_is_finished_on_first_read(m, p, rng):
 
 def test_flag_constructors_give_correct_inverses():
     for m in range(5):
-        assert FlagModel.standard(m, 7).inverse == Mat.identity(m, 7)
-        opposite = FlagModel.opposite(m, 7)
+        assert standard_flag(m, 7).inverse == Mat.identity(m, 7)
+        opposite = opposite_flag(m, 7)
         assert opposite.inverse == opposite.matrix  # a reversal is its own inverse
     for word in ("0101", "1100", "0011"):
         flag = minimal_coordinate_flag(StepString(word, 1), 5)
@@ -391,7 +397,7 @@ def test_flag_constructors_give_correct_inverses():
         assert flag.matrix.mul(flag.inverse) == Mat.identity(4, 5)
     flag = FlagModel.random(5, random.Random(3), P)
     for v in (Subspace.from_spanning([flag.vector(1), (1, 0, 2, 0, 3)], 5, P),
-              Subspace.zero(5, P), Subspace.full(5, P)):
+              Subspace.from_spanning((), 5, P), Subspace.full(5, P)):
         for induced in induced_flag(flag, v):
             assert induced.inverse == induced.matrix.inverse()
 
@@ -412,7 +418,7 @@ def test_X_raises_on_flags_over_different_fields():
     # first: a pair the nullity check would also catch
     src = FlagModel(Mat(((1, 2), (4, 1)), 5))
     with pytest.raises(ValueError, match="different prime fields"):
-        X_from_flags(Partition((0, 1), 3), src, FlagModel.standard(3, 7))
+        X_from_flags(Partition((0, 1), 3), src, standard_flag(3, 7))
 
 
 def test_mixed_primes_refused_where_the_nullity_check_misses():
@@ -516,8 +522,6 @@ def _base_planes(d, r, n):
 
 
 def test_minimal_flag_positions_exhaustive():
-    from hornkit.strings import project_j
-
     for counts in ((2, 2, 1), (1, 2, 2), (3, 1, 1), (2, 1, 2)):
         n = sum(counts)
         d = counts[2]
@@ -532,7 +536,7 @@ def test_minimal_flag_positions_exhaustive():
 
 def test_schubert_position_standard():
     V, _ = _base_planes(1, 2, 5)
-    assert schubert_position(V, FlagModel.standard(5, P)).word == "00011"
+    assert schubert_position(V, standard_flag(5, P)).word == "00011"
 
 
 def test_schubert_position_of_flag_steps():
@@ -545,7 +549,7 @@ def test_schubert_position_of_flag_steps():
 
 
 def _position_by_definition(v, flag):
-    dims = [intersect([v, flag.step(l)]).dim for l in range(flag.size + 1)]
+    dims = [intersect([v, flag_step(flag, l)]).dim for l in range(flag.size + 1)]
     return "".join("1" if b > a else "0" for a, b in zip(dims, dims[1:]))
 
 
@@ -599,7 +603,7 @@ def test_induced_flag_steps_are_the_meets(case):
                 vec = [(x + c * y) % v.p for x, y in zip(vec, row)]
             ambient.append(tuple(vec))
         step = Subspace.from_spanning(ambient, v.ambient_dim, v.p)
-        assert step == intersect([v, flag.step(jump)])
+        assert step == intersect([v, flag_step(flag, jump)])
 
 
 def test_induced_flag_steps_track_positions():
@@ -621,12 +625,13 @@ def test_induced_flag_steps_track_positions():
             ambient = [0] * 6
             for c, row in zip(coords, V.basis):
                 ambient = [(x + c * y) % P for x, y in zip(ambient, row)]
-            assert flag.step(jumps[col]).contains(tuple(ambient))
-            assert V.contains(tuple(ambient))
+            vector = Subspace.from_spanning([ambient], 6, P)
+            assert contains_subspace(flag_step(flag, jumps[col]), vector)
+            assert contains_subspace(V, vector)
 
 
 def test_induced_flag_whole_space():
-    flag = FlagModel.standard(4, P)
+    flag = standard_flag(4, P)
     fv, fq = induced_flag(flag, Subspace.full(4, P))
     assert fv.size == 4 and fq.size == 0
     assert fv.matrix.data == flag.matrix.data
@@ -690,6 +695,15 @@ def test_generic_tangents_single():
     rows = generic_tangents([lam], seed=7)
     assert len(rows) == 3  # (3 - 1) + (3 - 2) destination steps to avoid
     assert Subspace.from_equations(rows, 6, P).dim == 3
+
+
+def test_generic_tangents_of_the_empty_product():
+    # the unit class: no equations, after the same argument checks
+    assert generic_tangents([]) == []
+    assert generic_tangents((), seed=5, p=7) == []
+    for kwargs in ({"p": 4}, {"seed": 1.0}):
+        with pytest.raises(ValueError):
+            generic_tangents([], **kwargs)
 
 
 # --- two-step translates and the splitting/degree batteries ---------------------
@@ -782,7 +796,7 @@ def test_two_step_translate_checks_its_dimension(monkeypatch):
     class Deficient(Subspace):
         @classmethod
         def from_spanning(cls, vectors, ambient_dim, p):
-            return Subspace.zero(ambient_dim, p)
+            return Subspace.from_spanning((), ambient_dim, p)
 
     monkeypatch.setattr(_twostep, "Subspace", Deficient)
     with pytest.raises(RuntimeError, match="cell dimension"):

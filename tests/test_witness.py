@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hornkit.witness as witness
-from _twostep import induced_flag, quotient_pattern
-from hornkit.exactla import DEFAULT_PRIME, Subspace, derive_seed, intersect
+from _twostep import contains_subspace, induced_flag, quotient_pattern
+from hornkit.exactla import DEFAULT_PRIME, Mat, Subspace, derive_seed, intersect
 from hornkit.horn import HornInequality, lr_oracle
 from hornkit.strings import (
     Partition,
@@ -185,7 +185,7 @@ def test_box_mismatch_raises():
 
 def test_sample_nonzero_exhausts_on_zero_space():
     with pytest.raises(GenericityExhausted):
-        witness._sample_nonzero(Subspace.zero(3, 97), random.Random(0))
+        witness._sample_nonzero(Subspace.from_spanning((), 3, 97), random.Random(0))
 
 
 # --- serialization ----------------------------------------------------------------
@@ -502,8 +502,9 @@ def test_kernel_position_stability():
         rng = random.Random(987654321)
         for _ in range(3):
             phi = witness._sample_nonzero(meet, rng)
-            cap = level.n - level.r
-            kernel = witness._unvec(phi, cap, level.r, DEFAULT_PRIME).nullspace()
+            r, cap = level.r, level.n - level.r
+            phi_matrix = Mat(tuple(phi[a * r : (a + 1) * r] for a in range(cap)), DEFAULT_PRIME)
+            kernel = phi_matrix.nullspace()
             assert kernel.dim == level.phi_nullity
             positions = tuple(schubert_position(kernel, fp[0]) for fp in flag_pairs)
             assert tuple(map(str, positions)) == level.kernel_positions
@@ -513,5 +514,4 @@ def test_kernel_lies_in_every_sampled_map():
     for level, flag_pairs, meet, _ in _descend_levels(BIG_PAIR, 6, 10):
         for lam, fp in zip(level.lams, flag_pairs):
             tangent = X_from_flags(lam, *fp)
-            for row in meet.basis:
-                assert tangent.contains(row)
+            assert contains_subspace(tangent, meet)
