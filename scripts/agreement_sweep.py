@@ -9,18 +9,21 @@ three call vanishing must also yield a kernel-descent witness
 (``find_witness`` at the sweep's seed) that ``verify_witness`` accepts.
 
 Exit status 0 when all verdicts agree and every vanishing tuple is
-certified, 1 otherwise.
+certified, 1 otherwise, and 141 (128 + SIGPIPE) when stdout is closed by
+its reader, as in ``agreement_sweep.py | head -2``.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import random
 import sys
 import time
 from collections.abc import Iterable
 
+from hornkit.cli import EXIT_BROKEN_PIPE
 from hornkit.horn import horn_verdict, lr_oracle
 from hornkit.strings import Partition, all_partitions
 from hornkit.tangent import transversality_verdict
@@ -158,4 +161,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # as hornkit.cli.main: point stdout at devnull so that the
+        # interpreter's own flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    sys.exit(status)

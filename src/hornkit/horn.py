@@ -34,8 +34,16 @@ the last complement.  Multiplying by a Schur polynomial only adds boxes,
 so the oracle grows the first complement by the Littlewood-Richardson
 strips of the others inside that shape alone: one depth-first walk over
 the strips of every middle complement in turn, with one memo of the
-states that failed, which stops at the first filling that completes.  It
-shares no code with the recursion and serves as ground truth in tests.
+states that failed, which stops at the first filling that completes.
+Before the walk it refuses a product with one vanishing pair of classes
+(the two-class rule, checked on every pair), and it orients the walk:
+the largest complement first, the second largest last, the rest between,
+largest first, in the box as given or in its transpose, whichever asks
+the middle complements for less work.  Both rewrites rest only on the
+symmetries of LR coefficients (the ring is commutative, and
+Gr(r, n) = Gr(n-r, n) transposes every partition), not on saturation, so
+the oracle shares no argument with the recursion and serves as ground
+truth in tests.
 ``schur_expand`` gives a whole expansion with its multiplicities, over
 the same strip walker.
 
@@ -409,22 +417,51 @@ def lr_oracle(lams: Sequence[Partition], r: int, n: int) -> bool:
     Young Tableaux, 1997, 9.4).  Multiplying by a Schur polynomial only adds
     boxes and LR coefficients are nonnegative, so the product is nonzero iff
     some filling of the other complements, grown from the first by
-    horizontal strips, stays inside beta.  So the first complement must lie
-    inside beta (for two classes that is the whole answer), every strip is
-    confined to beta row by row, and one depth-first walk adds the strips
-    of every middle complement in turn until one filling completes.  Each
-    strip adds at least one box inside beta, so the walk's stack holds at
-    most |beta| - |c^1| <= r (n-r) strips.  Independent of the Horn
-    recursion."""
+    horizontal strips, stays inside beta.  Every strip is confined to beta
+    row by row, and one depth-first walk adds the strips of every middle
+    complement in turn until one filling completes.  Each strip adds at
+    least one box inside beta, so the walk's stack holds at most
+    |beta| - |c^1| <= r (n-r) strips.
+
+    Two exact symmetries make the walk cheap without changing its answer.
+    The ring is commutative and associative, so the product vanishes as
+    soon as one pair of its classes does, and by the two-class rule above
+    that is a_k + b_{r+1-k} > n-r for some k: every pair is checked before
+    the walk, and for two classes that is the whole answer.  And the
+    factors may be taken in any order, in the box as given or in its
+    transpose, where each complement becomes its conjugate and r and n-r
+    trade places (Gr(r,n) = Gr(n-r,n), c^{nu'}_{lam' mu'} = c^nu_{lam mu};
+    Fulton 1997, 5.1 and 9.4).  The complement with the most boxes starts
+    the walk and the second largest is last, so that beta is smallest;
+    the rest go in between, largest first.  The transpose is taken only
+    when it strictly lowers the walk's measure of work, the sum over the
+    middle complements of boxes times nonzero parts (the strips each one
+    adds).  Neither rewrite rests on saturation, so the oracle stays
+    independent of the Horn recursion."""
     lams = tuple(lams)
     r, n = _check_box(lams, r, n)
-    if len(lams) <= 1:
-        return True
     cap = n - r
-    first, *middle, last = (tuple(cap - x for x in lam.parts) for lam in lams)
+    comps = [tuple(cap - x for x in lam.parts) for lam in lams]
+    # equal classes are one pair, and a pair only if the class repeats
+    counts = collections.Counter(comps)
+    for a, b in itertools.combinations_with_replacement(counts, 2):
+        if (a != b or counts[a] > 1) and any(
+            x + y > cap for x, y in zip(a, reversed(b))
+        ):
+            return False
+    if len(comps) <= 2:
+        return True
+    first, last, *middle = sorted(comps, key=sum, reverse=True)
+    # a conjugate has as many nonzero parts as the complement's first part
+    if sum(sum(c) * max(c, default=0) for c in middle) < sum(
+        sum(c) * sum(1 for x in c if x) for c in middle
+    ):
+        first, last, *middle = (
+            tuple(sum(1 for x in c if x > j) for j in range(cap))
+            for c in (first, last, *middle)
+        )
+        cap = r
     beta = tuple(cap - x for x in reversed(last))
-    if any(x > y for x, y in zip(first, beta)):
-        return False
     # (size, closes) for each strip: the nonzero parts of every middle
     # complement in turn, where the last strip of a complement closes its
     # lattice word, so the next strip starts a new one

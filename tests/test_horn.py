@@ -366,6 +366,49 @@ def test_lr_oracle_walks_past_the_recursion_limit():
     assert lr_oracle((unit,) + (box,) * 1024 + (unit,), 32, 64)
 
 
+def _transpose(lam, r, cap):
+    """The class of Gr(n-r, n) whose complement is the conjugate of lam's."""
+    comp = [cap - x for x in lam.parts]
+    return Partition(tuple(r - sum(1 for x in comp if x > j) for j in range(cap)), r)
+
+
+@pytest.mark.parametrize("r, n", [(2, 5), (3, 6), (3, 7), (4, 8)])
+def test_pair_rule_matches_lr_oracle_on_every_pair(r, n):
+    # sigma_lam * sigma_mu != 0 iff lam_k + mu_{r+1-k} >= n - r for every k
+    cap = n - r
+    parts = list(all_partitions(r, cap))
+    for lam, mu in itertools.product(parts, repeat=2):
+        pair_rule = all(x + y >= cap for x, y in zip(lam.parts, reversed(mu.parts)))
+        assert lr_oracle((lam, mu), r, n) == pair_rule, (lam, mu)
+
+
+@pytest.mark.parametrize("r, n, s", [(2, 5, 3), (2, 6, 3), (3, 6, 3), (2, 4, 4), (2, 5, 4)])
+def test_lr_oracle_ignores_order_and_transposition(r, n, s):
+    # every ordered tuple of a whole box: each permutation of a tuple is
+    # another ordered tuple, so one answer per multiset; and the transposed
+    # tuple on Gr(n-r, n) has the same answer
+    cap = n - r
+    answers = {}
+    for lams in itertools.product(list(all_partitions(r, cap)), repeat=s):
+        nonzero = lr_oracle(lams, r, n)
+        transposed = tuple(_transpose(lam, r, cap) for lam in lams)
+        assert lr_oracle(transposed, cap, n) == nonzero, lams
+        key = tuple(sorted(lam.parts for lam in lams))
+        assert answers.setdefault(key, nonzero) == nonzero, lams
+
+
+def test_lr_oracle_refuses_a_vanishing_pair_without_walking(monkeypatch):
+    # sigma_2 * sigma_11 = 0 on Gr(2,4), so the product vanishes whatever
+    # stands around the pair: the first and last classes fit each other,
+    # and no strip is walked
+    def no_walk(*args):
+        raise AssertionError("walked a tuple with a vanishing pair")
+
+    monkeypatch.setattr("hornkit.horn._horizontal_strips", no_walk)
+    lams, r, n = _case(2, 4, (1, 2), (0, 2), (1, 1), (1, 2))
+    assert not lr_oracle(lams, r, n)
+
+
 def _reference_schur_expand(a, b, max_rows, max_cols):
     """Reference LR expansion truncated to a box, with one column bound for
     every row: checks ``schur_expand`` directly, and ``lr_oracle`` through

@@ -116,3 +116,20 @@ def test_sweep_fails_on_an_exhausted_descent(sweep_main):
         f"EXHAUSTED {parts}: no generic data" for parts in vanishing
     ]
     assert f"0 disagreements, {len(named)} vanishing tuples not certified" in err
+
+
+def test_sweep_closed_stdout_exits_141_without_traceback():
+    # the read end is closed long before the sweep's first line, which
+    # comes only after its imports and the whole Gr(2,4) s=3 box
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "agreement_sweep.py"), "2,4,3",
+         "--samples", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
