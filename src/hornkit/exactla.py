@@ -10,7 +10,11 @@ equations with one nullspace; ``intersect`` first turns bases into them.
 
 Every elimination runs one forward-elimination core, ``_echelon``: it
 scales each pivot row to a leading 1 and clears the rows below, never
-those above.  Each caller then does only the work whose result it reads.
+those above.  It takes pivot columns in pairs: one pass over the
+remaining rows clears both columns of a pair, so a matrix of full rank
+costs about half the passes of a column at a time, and each pivot is
+still the first remaining row nonzero in its column, so the echelon is
+that of a column at a time.  Each caller then does only the work whose result it reads.
 ``Mat.rank`` counts the pivots and back-substitutes nothing; so do the
 numeric decider, ``hornkit.tangent.transversality_verdict``, which reads
 only the rank of its equations, and ``hornkit.tangent.schubert_position``,
@@ -42,9 +46,12 @@ elimination with about half the element updates.
 reduced, but a cleared row keeps a - f * b unreduced; only the entries
 the elimination reads are reduced, namely a row's leading entry when it
 is tested as a pivot and taken as the factor f, and the pivot row's
-tail when it is scaled.  After k columns every entry is below
-(k + 1) * p**2 in absolute value, and Python integers do not overflow,
-so every result is exact and the same as with reduction at each update.
+tail when it is scaled.  A paired pass subtracts two products from an
+entry, a - f1 * b - f2 * c, but clears two columns, and it leaves the
+very integers that two single passes would.  So after k columns every
+entry is below (k + 1) * p**2 in absolute value, and Python integers do
+not overflow, so every result is exact and the same as with reduction
+at each update.
 
 ``_bruhat`` is no elimination but a normal form: it reduces an
 invertible square matrix to a scaled permutation matrix R * x * A with
@@ -145,29 +152,40 @@ Rows = tuple[tuple[int, ...], ...]
 def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[int, list[int]]]:
     """Forward elimination mod p of rows already reduced mod p.
 
-    Column by column: the first remaining row whose entry is nonzero mod
-    p becomes the pivot row and is scaled to a leading 1, the remaining
-    rows are cleared in that column, and the column is then dropped from
-    them.
+    The pivot rule is the column-at-a-time one: in each column the first
+    remaining row whose entry is nonzero mod p becomes the pivot row and
+    is scaled to a leading 1, the remaining rows are cleared in that
+    column, and the column is then dropped from them.  Columns are taken
+    in pairs.  With the pivot of column c chosen, the pivot of column
+    c + 1 is the first remaining row whose c + 1 entry, less f1 times the
+    first pivot's, is nonzero mod p (f1 being the row's column-c entry):
+    the row a pass over column c alone would leave first nonzero there.
+    One pass then clears both columns from every other row, as
+    a - f1 * b - f2 * c, with a branch for each factor that is 0.  A
+    column is taken alone where column c or c + 1 has no pivot, at the
+    last column, and where no row is left for the second pivot.
     Returns one (pivot column, tail) pair per pivot, top-down, where tail
-    is the scaled pivot row right of its pivot, reduced mod p.  The input
-    is not changed.
+    is the scaled pivot row right of its pivot, reduced mod p; the pairs
+    are those of the column-at-a-time loop.  The input is not changed.
 
-    Reduction is lazy: a cleared row keeps a - f * b unreduced, and only
+    Reduction is lazy: a cleared row keeps its update unreduced, and only
     the entries the elimination reads are reduced, namely a row's leading
-    entry when it is tested as a pivot and taken as the factor f, and the
-    pivot row's tail when it is scaled.  Each update moves an entry by less
-    than p**2, so after k columns every entry is below (k + 1) * p**2 in
-    absolute value; Python integers do not overflow.
+    entries when they are tested for a pivot and taken as factors, and
+    the pivot rows' tails when they are scaled.  Each product moves an
+    entry by less than p**2 and a paired pass, with two products, clears
+    two columns, so after k columns every entry is below (k + 1) * p**2
+    in absolute value; Python integers do not overflow.
     """
     work = list(rows)
     echelon: list[tuple[int, list[int]]] = []
-    for col in range(ncols):
+    col = 0
+    while col < ncols:
         for i, row in enumerate(work):
             if row[0] % p:
                 break
         else:
             work = [row[1:] for row in work]
+            col += 1
             continue
         pivot = work.pop(i)
         inv = pow(pivot[0], -1, p)
@@ -175,10 +193,42 @@ def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[in
         echelon.append((col, tail))
         if not work:
             break
+        if col + 1 < ncols:
+            # the pivot of column col + 1: the first row nonzero there
+            # once the first pivot has cleared it; lead ends 0 if none is
+            t0 = tail[0]
+            for i, row in enumerate(work):
+                if lead := (row[1] - row[0] % p * t0) % p:
+                    break
+            if lead:
+                second = work.pop(i)
+                inv, f1 = pow(lead, -1, p), second[0] % p
+                tail1 = tail[1:]
+                tail2 = [(a - f1 * b) * inv % p for a, b in zip(second[2:], tail1)]
+                echelon.append((col + 1, tail2))
+                if not work:
+                    break
+                pair = []
+                for row in work:
+                    if f1 := row[0] % p:
+                        if f2 := (row[1] - f1 * t0) % p:
+                            pair.append(
+                                [a - f1 * b - f2 * c for a, b, c in zip(row[2:], tail1, tail2)]
+                            )
+                        else:
+                            pair.append([a - f1 * b for a, b in zip(row[2:], tail1)])
+                    elif f2 := row[1] % p:
+                        pair.append([a - f2 * c for a, c in zip(row[2:], tail2)])
+                    else:
+                        pair.append(row[2:])
+                work = pair
+                col += 2
+                continue
         work = [
             [a - f * b for a, b in zip(row[1:], tail)] if (f := row[0] % p) else row[1:]
             for row in work
         ]
+        col += 1
     return echelon
 
 

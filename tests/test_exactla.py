@@ -18,6 +18,7 @@ from hornkit.exactla import (
     Mat,
     Subspace,
     _bruhat,
+    _echelon,
     check_prime,
     derive_seed,
     intersect,
@@ -25,7 +26,8 @@ from hornkit.exactla import (
     random_matrix,
     rref,
 )
-from hornkit.tangent import FlagModel
+from hornkit.strings import Partition
+from hornkit.tangent import FlagModel, _random_system
 
 P = 97  # small prime keeps hypothesis cases cheap; arithmetic is generic in p
 
@@ -301,6 +303,103 @@ def test_elimination_matches_gauss_jordan_at_real_widths(p):
                     m.inverse()
             else:
                 assert m.inverse().data == expected
+
+
+# --- the paired elimination step against the column-at-a-time loop -----------
+
+
+def _echelon_by_columns(rows, ncols, p):
+    """The reference for ``_echelon``'s raw output: one column per pass, the
+    first remaining row nonzero mod p there as its pivot, scaled to a
+    leading 1, and every other remaining row cleared with it."""
+    work = list(rows)
+    echelon = []
+    for col in range(ncols):
+        for i, row in enumerate(work):
+            if row[0] % p:
+                break
+        else:
+            work = [row[1:] for row in work]
+            continue
+        pivot = work.pop(i)
+        inv = pow(pivot[0], -1, p)
+        tail = [x * inv % p for x in pivot[1:]]
+        echelon.append((col, tail))
+        if not work:
+            break
+        work = [
+            [a - f * b for a, b in zip(row[1:], tail)] if (f := row[0] % p) else row[1:]
+            for row in work
+        ]
+    return echelon
+
+
+@given(_matrices())
+@settings(max_examples=400, deadline=None)
+def test_echelon_matches_the_column_loop(case):
+    rows, ncols, p = case
+    assert _echelon(rows, ncols, p) == _echelon_by_columns(rows, ncols, p)
+
+
+@pytest.mark.parametrize("p", WIDE_PRIMES)
+def test_echelon_matches_the_column_loop_at_real_widths(p):
+    for rows, ncols in _wide_matrices(p):
+        assert _echelon(rows, ncols, p) == _echelon_by_columns(rows, ncols, p)
+
+
+def _tight_classes(rng, r, n, s):
+    """s partitions in the r x (n - r) box whose weights sum to
+    (s - 1) * r * (n - r), drawn uniformly and then nudged a unit at a time."""
+    cap = n - r
+    parts = [[rng.randint(0, cap) for _ in range(r)] for _ in range(s)]
+    total, target = sum(map(sum, parts)), (s - 1) * r * cap
+    while total != target:
+        step = 1 if total < target else -1
+        row = parts[rng.randrange(s)]
+        k = rng.randrange(r)
+        if 0 <= row[k] + step <= cap:
+            row[k] += step
+            total += step
+    return [Partition(sorted(row), cap) for row in parts]
+
+
+@pytest.mark.parametrize("r, n, s", [(4, 8, 3), (5, 10, 3), (6, 12, 3), (7, 14, 3), (5, 10, 4)])
+def test_echelon_matches_the_column_loop_on_stacked_systems(r, n, s):
+    # the systems the numeric verdict ranks, on the benchmark's boxes
+    rng = random.Random(derive_seed("stacked systems", r, n, s))
+    for t in range(4):
+        lams = _tight_classes(rng, r, n, s)
+        _, ncols, rows, _ = _random_system(lams, [(t, i) for i in range(s)], DEFAULT_PRIME)
+        assert _echelon(rows, ncols, DEFAULT_PRIME) == _echelon_by_columns(
+            rows, ncols, DEFAULT_PRIME
+        )
+
+
+# Each fixture reaches one edge of the paired step at every prime below.
+PAIR_STEP_FIXTURES = {
+    # columns (0, 1) as a pair, then column 2 alone
+    "odd column count": (((1, 2, 3), (4, 5, 6), (7, 8, 10), (1, 0, 1)), 3),
+    # the second row is 0 at column 1 once the first pivot has cleared it
+    "no second pivot after the first update": (((1, 1, 0, 1), (1, 1, 1, 0), (2, 2, 3, 1)), 4),
+    # the third row needs only the second pivot, the fourth neither
+    "f1 = 0 != f2": (((1, 0, 1, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)), 4),
+    # the third row is cleared at column 1 by the first pivot alone
+    "f1 != 0 = f2": (((1, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 0)), 4),
+    # a pair takes two rows, then the first pivot of the next takes the last
+    "no rows left after a first pivot": (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)), 4),
+    "one row": (((0, 2, 3),), 3),
+    "one column": (((0,), (3,), (5,)), 1),
+    "no rows": ((), 4),
+    "no columns": (((), ()), 0),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_STEP_FIXTURES)
+@pytest.mark.parametrize("p", (2, 3, 97, DEFAULT_PRIME))
+def test_echelon_matches_the_column_loop_at_each_edge_of_the_pair_step(name, p):
+    rows, ncols = PAIR_STEP_FIXTURES[name]
+    rows = [[x % p for x in row] for row in rows]
+    assert _echelon(rows, ncols, p) == _echelon_by_columns(rows, ncols, p)
 
 
 def test_from_equations_rejects_rows_of_the_wrong_length():
