@@ -11,10 +11,12 @@ equations with one nullspace; ``intersect`` first turns bases into them.
 Every elimination runs one forward-elimination core, ``_echelon``: it
 scales each pivot row to a leading 1 and clears the rows below, never
 those above.  It takes pivot columns in pairs: one pass over the
-remaining rows clears both columns of a pair, so a matrix of full rank
-costs about half the passes of a column at a time, and each pivot is
-still the first remaining row nonzero in its column, so the echelon is
-that of a column at a time.  Each caller then does only the work whose result it reads.
+remaining rows clears both columns of a pair, or clears the first and
+drops both when the second has no pivot, so a matrix of full rank costs
+about half the passes of a column at a time, and each pivot is still
+the first remaining row nonzero in its column, so the echelon is that
+of a column at a time.  Each caller then does only the work whose
+result it reads.
 ``Mat.rank`` counts the pivots and back-substitutes nothing; so do the
 numeric decider, ``hornkit.tangent.transversality_verdict``, which reads
 only the rank of its equations, and ``hornkit.tangent.schubert_position``,
@@ -161,9 +163,11 @@ def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[in
     first pivot's, is nonzero mod p (f1 being the row's column-c entry):
     the row a pass over column c alone would leave first nonzero there.
     One pass then clears both columns from every other row, as
-    a - f1 * b - f2 * c, with a branch for each factor that is 0.  A
-    column is taken alone where column c or c + 1 has no pivot, at the
-    last column, and where no row is left for the second pivot.
+    a - f1 * b - f2 * c, with a branch for each factor that is 0.  Where
+    column c + 1 has no pivot, that pass clears column c alone and leaves
+    column c + 1 at 0 mod p in every row, so it drops both columns.  A
+    column is taken alone where it has no pivot; a pivot in the last
+    column, or one that leaves no row, ends the elimination.
     Returns one (pivot column, tail) pair per pivot, top-down, where tail
     is the scaled pivot row right of its pivot, reduced mod p; the pairs
     are those of the column-at-a-time loop.  The input is not changed.
@@ -191,44 +195,42 @@ def _echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[tuple[in
         inv = pow(pivot[0], -1, p)
         tail = [x * inv % p for x in pivot[1:]]
         echelon.append((col, tail))
+        if not work or col + 1 == ncols:
+            break  # no row left to clear, or no column after this one
+        # the pivot of column col + 1: the first row nonzero there once the
+        # first pivot has cleared it; lead ends 0 if none is
+        t0, tail1 = tail[0], tail[1:]
+        for i, row in enumerate(work):
+            if lead := (row[1] - row[0] % p * t0) % p:
+                break
+        if not lead:
+            # column col + 1 has no pivot: once column col is cleared it is
+            # 0 mod p in every row, so the one pass drops both columns
+            work = [
+                [a - f * b for a, b in zip(row[2:], tail1)] if (f := row[0] % p) else row[2:]
+                for row in work
+            ]
+            col += 2
+            continue
+        second = work.pop(i)
+        inv, f1 = pow(lead, -1, p), second[0] % p
+        tail2 = [(a - f1 * b) * inv % p for a, b in zip(second[2:], tail1)]
+        echelon.append((col + 1, tail2))
         if not work:
             break
-        if col + 1 < ncols:
-            # the pivot of column col + 1: the first row nonzero there
-            # once the first pivot has cleared it; lead ends 0 if none is
-            t0 = tail[0]
-            for i, row in enumerate(work):
-                if lead := (row[1] - row[0] % p * t0) % p:
-                    break
-            if lead:
-                second = work.pop(i)
-                inv, f1 = pow(lead, -1, p), second[0] % p
-                tail1 = tail[1:]
-                tail2 = [(a - f1 * b) * inv % p for a, b in zip(second[2:], tail1)]
-                echelon.append((col + 1, tail2))
-                if not work:
-                    break
-                pair = []
-                for row in work:
-                    if f1 := row[0] % p:
-                        if f2 := (row[1] - f1 * t0) % p:
-                            pair.append(
-                                [a - f1 * b - f2 * c for a, b, c in zip(row[2:], tail1, tail2)]
-                            )
-                        else:
-                            pair.append([a - f1 * b for a, b in zip(row[2:], tail1)])
-                    elif f2 := row[1] % p:
-                        pair.append([a - f2 * c for a, c in zip(row[2:], tail2)])
-                    else:
-                        pair.append(row[2:])
-                work = pair
-                col += 2
-                continue
-        work = [
-            [a - f * b for a, b in zip(row[1:], tail)] if (f := row[0] % p) else row[1:]
-            for row in work
-        ]
-        col += 1
+        pair = []
+        for row in work:
+            if f1 := row[0] % p:
+                if f2 := (row[1] - f1 * t0) % p:
+                    pair.append([a - f1 * b - f2 * c for a, b, c in zip(row[2:], tail1, tail2)])
+                else:
+                    pair.append([a - f1 * b for a, b in zip(row[2:], tail1)])
+            elif f2 := row[1] % p:
+                pair.append([a - f2 * c for a, c in zip(row[2:], tail2)])
+            else:
+                pair.append(row[2:])
+        work = pair
+        col += 2
     return echelon
 
 
@@ -342,10 +344,11 @@ class Mat(Record):
             tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
             for row in self.data
         )
-        return Mat(out, p)
+        return Mat._of_reduced(out, p)
 
     def transpose(self) -> "Mat":
-        return Mat(tuple(zip(*self.data)) if self.data else (), self.p)
+        data = tuple(zip(*self.data)) if self.data else ()
+        return Mat._of_reduced(data, self.p)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)

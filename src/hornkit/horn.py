@@ -22,6 +22,11 @@ the few candidates whose inequality actually fails.  A depth-first search
 over one table of Lambda(d, r-d) per level skips every subtree in which
 the partial left-hand side, plus the least the remaining factors can add
 while still passing the dimension count, reaches the right-hand side.
+Those least values, the floors, are rebuilt at every level of every
+recursive call, factor by factor from the last: a factor's floor is the
+entrywise minimum of one shifted copy of the next factor's floor per
+weight in the table, and the first factor's floor is needed at one
+entry only.
 That search (``_violated_candidates``) is the one walk over candidates:
 ``enumerate_horn`` runs it too, with every score 0 against an infinite
 right-hand side, so it yields every candidate and certifies each in turn.
@@ -216,6 +221,15 @@ def _nonzero(rows: tuple[int, ...], d: int, r: int, memo: _Memo) -> bool:
     return cached
 
 
+def _least_scores(weights: Sequence[int], row_scores: Sequence[int]) -> dict[int, int]:
+    """Weight -> the least score of a row that heavy, in first-seen order."""
+    least: dict[int, int] = {}
+    for w, sc in zip(weights, row_scores):
+        if sc < least.get(w, math.inf):
+            least[w] = sc
+    return least
+
+
 def _violated_candidates(
     table: Sequence[_Row], scores: Sequence[Sequence[int]], need: int, rhs: int
 ) -> Iterator[tuple[int, ...]]:
@@ -226,23 +240,29 @@ def _violated_candidates(
     when their weights must sum to at least w.  A subtree is entered only
     when its partial score plus that floor stays below ``rhs``, so every
     subtree entered holds at least one of the tuples sought.
+
+    A floor is built from the next one, one copy per weight w in the
+    table: the next floor shifted right by w (the entries below w read
+    its entry 0, as a factor of weight w covers a shortfall up to w), plus
+    the least score of a row of weight w.  The floor is the entrywise
+    minimum of those copies.  The first factor's floor is read only at
+    ``need``, so that one entry alone is computed.
     """
     s = len(scores)
     weights = [row.weight for row in table]
     floor = [0] + [math.inf] * need  # no factors left: they add weight 0
     floors = [floor]
-    for row_scores in reversed(scores):
-        least: dict[int, int] = {}  # weight -> least score of a row that heavy
-        for w, sc in zip(weights, row_scores):
-            if sc < least.get(w, math.inf):
-                least[w] = sc
-        floor = [
-            min(sc + floor[max(0, short - w)] for w, sc in least.items())
-            for short in range(need + 1)
-        ]
+    for row_scores in reversed(scores[1:]):
+        copies = []
+        for w, sc in _least_scores(weights, row_scores).items():
+            w = min(w, need + 1)  # a weight past need covers every shortfall
+            copies.append([sc + floor[0]] * w + [sc + x for x in floor[: need + 1 - w]])
+        floor = list(map(min, zip(*copies)))
         floors.append(floor)
+    floors.append(None)  # the first factor's floor: only its entry at need is read
     floors.reverse()
-    if floors[0][need] >= rhs:
+    least = _least_scores(weights, scores[0])
+    if min(sc + floor[max(0, need - w)] for w, sc in least.items()) >= rhs:
         return
     picked: list[int] = []
 
@@ -270,7 +290,7 @@ def _first_violation(
     for d in range(1, r + 1):
         table = _level_table(d, r)
         rhs = (s - 1) * d * (n - r)
-        scores = [[sum(lam[i] for i in row.index) for row in table] for lam in lams]
+        scores = [[sum(map(lam.__getitem__, row.index)) for row in table] for lam in lams]
         for rows in _violated_candidates(table, scores, (s - 1) * d * (r - d), rhs):
             if _nonzero(rows, d, r, memo):
                 slack = sum(sc[i] for sc, i in zip(scores, rows)) - rhs

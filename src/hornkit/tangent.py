@@ -397,7 +397,14 @@ def transversality_verdict(
 ) -> TransversalityReport:
     """Decide vanishing of the class product on Gr(r, n) by seeded exact
     intersections.  The empty product is the unit class: nonzero, with
-    the whole grid as its meet, and no flag is drawn."""
+    the whole grid as its meet, and no flag is drawn.
+
+    Each trial's meet has dimension at least the virtual dimension
+    (``expected``) and at least 0, so the trials stop once the least
+    dimension seen reaches the larger of the two: no further trial can
+    change the report.  With ``expected`` negative that is a meet of
+    dimension 0: the report is "zero" whatever the trials, and one meet
+    of dimension 0 already gives the least dimension it states."""
     r, n = _check_box(lams, r, n)
     seed = integer(seed)
     check_prime(p)
@@ -412,8 +419,8 @@ def transversality_verdict(
         _, ncols, rows, _ = _random_system(lams, labels, p)
         dim = ncols - len(_echelon(rows, ncols, p))
         achieved = dim if achieved is None else min(achieved, dim)
-        if achieved == expected:
-            break  # cannot go lower: the virtual dimension is a hard floor
+        if achieved == max(expected, 0):
+            break  # cannot go lower: no meet is below either floor
     return TransversalityReport(achieved == expected, achieved, expected)
 
 

@@ -381,6 +381,8 @@ PAIR_STEP_FIXTURES = {
     "odd column count": (((1, 2, 3), (4, 5, 6), (7, 8, 10), (1, 0, 1)), 3),
     # the second row is 0 at column 1 once the first pivot has cleared it
     "no second pivot after the first update": (((1, 1, 0, 1), (1, 1, 1, 0), (2, 2, 3, 1)), 4),
+    # column 0 alone, then the same in the last two columns
+    "no second pivot in the last pair": (((0, 1, 1), (0, 2, 2), (0, 3, 3)), 3),
     # the third row needs only the second pivot, the fourth neither
     "f1 = 0 != f2": (((1, 0, 1, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)), 4),
     # the third row is cleared at column 1 by the first pivot alone

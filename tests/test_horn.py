@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import pathlib
 import random
 
@@ -13,6 +14,8 @@ from hornkit.horn import (
     HornInequality,
     Verdict,
     Violation,
+    _level_table,
+    _violated_candidates,
     enumerate_horn,
     evaluate,
     horn_verdict,
@@ -183,6 +186,99 @@ def _enumerate_reference(r, n, s):
 )
 def test_enumerate_matches_product_loop(r, n, s):
     assert list(enumerate_horn(r, n, s)) == list(_enumerate_reference(r, n, s))
+
+
+# --- the candidate walk's floors against the entry-by-entry loop ----------------
+
+
+def _violated_candidates_by_entries(table, scores, need, rhs):
+    """The reference for ``_violated_candidates``: the same walk, with every
+    factor's floor built one entry at a time as the least, over the
+    weights w in the table, of the least score of weight w plus the next
+    floor at the shortfall left once w is covered."""
+    s = len(scores)
+    weights = [row.weight for row in table]
+    floor = [0] + [math.inf] * need
+    floors = [floor]
+    for row_scores in reversed(scores):
+        least = {}
+        for w, sc in zip(weights, row_scores):
+            if sc < least.get(w, math.inf):
+                least[w] = sc
+        floor = [
+            min(sc + floor[max(0, short - w)] for w, sc in least.items())
+            for short in range(need + 1)
+        ]
+        floors.append(floor)
+    floors.reverse()
+    if floors[0][need] >= rhs:
+        return
+    picked = []
+
+    def descend(j, weight, score):
+        if j == s:
+            yield tuple(picked)
+            return
+        after = floors[j + 1]
+        for i, (w, sc) in enumerate(zip(weights, scores[j])):
+            if score + sc + after[max(0, need - weight - w)] >= rhs:
+                continue
+            picked.append(i)
+            yield from descend(j + 1, weight + w, score + sc)
+            picked.pop()
+
+    yield from descend(0, 0, 0)
+
+
+def _same_candidates(table, scores, need, rhs, limit=2000):
+    """Both walks yield the same first ``limit`` candidates, in order."""
+    got = itertools.islice(_violated_candidates(table, scores, need, rhs), limit)
+    want = itertools.islice(_violated_candidates_by_entries(table, scores, need, rhs), limit)
+    return list(got) == list(want)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_violated_candidates_match_the_entry_loop(s):
+    rng = random.Random(f"violated candidates {s}")
+    for _ in range(150):
+        r = rng.randint(1, 6)
+        d = rng.randint(1, r)
+        table = _level_table(d, r)
+        top = rng.randint(0, 3 * d * (r - d) + 1)
+        scores = [[rng.randint(0, top) for _ in table] for _ in range(s)]
+        dimension_count = (s - 1) * d * (r - d)
+        need = rng.choice((0, dimension_count, rng.randint(0, dimension_count + s * d)))
+        rhs = rng.choice((math.inf, rng.randint(0, s * top + 1)))
+        assert _same_candidates(table, scores, need, rhs)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_violated_candidates_match_the_entry_loop_at_need_0_and_on_one_weight(s):
+    rng = random.Random(f"need 0 and d = r {s}")
+    for r in range(1, 6):
+        for d in range(1, r + 1):
+            table = _level_table(d, r)
+            scores = [[rng.randint(0, 2 * r) for _ in table] for _ in range(s)]
+            for rhs in (0, 1, r, s * r, math.inf):
+                assert _same_candidates(table, scores, 0, rhs)
+        # d = r: one row, of weight 0, so only one weight in the table
+        table = _level_table(r, r)
+        assert len({row.weight for row in table}) == 1
+        for need in range(3):
+            for rhs in (0, 1, 2, math.inf):
+                scores = [[rng.randint(0, 2)] for _ in range(s)]
+                assert _same_candidates(table, scores, need, rhs)
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_violated_candidates_match_the_entry_loop_as_enumerate_horn_calls_it(s):
+    # zero scores against an infinite bound: every dimension-count passer
+    for r in range(1, 6 if s <= 3 else 5):
+        for d in range(1, r + 1):
+            table = _level_table(d, r)
+            assert _same_candidates(
+                table, [[0] * len(table)] * s, (s - 1) * d * (r - d), math.inf
+            )
 
 
 # --- evaluate ------------------------------------------------------------------

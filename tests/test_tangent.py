@@ -690,6 +690,64 @@ def test_transversality_negative_virtual_dimension():
     assert not lr_oracle(lams, 2, 4)
 
 
+def _all_trials_verdict(lams, seed, trials, p):
+    """The verdict with every requested trial run: the least meet dimension
+    over all of them, against the virtual dimension."""
+    r, cap = lams[0].r, lams[0].cap
+    expected = sum(lam.weight for lam in lams) - (len(lams) - 1) * r * cap
+    dims = []
+    for t in range(trials):
+        rows = generic_tangents(lams, derive_seed(seed, "trial", t), p)
+        dims.append(r * cap - len(rref(rows, r * cap, p)[1]))
+    achieved = min(dims)
+    return tangent.TransversalityReport(achieved == expected, achieved, expected)
+
+
+def _tuples_by_virtual_dimension(seed, per_sign=20):
+    """Seeded class tuples on boxes up to 3 x 4, ``per_sign`` each with a
+    negative, a zero and a positive virtual dimension."""
+    rng = random.Random(seed)
+    found = {-1: [], 0: [], 1: []}
+    while any(len(lams) < per_sign for lams in found.values()):
+        r, cap, s = rng.randint(1, 3), rng.randint(1, 4), rng.randint(2, 4)
+        lams = tuple(
+            Partition(sorted(rng.randint(0, cap) for _ in range(r)), cap) for _ in range(s)
+        )
+        expected = sum(lam.weight for lam in lams) - (s - 1) * r * cap
+        sign = (expected > 0) - (expected < 0)
+        if len(found[sign]) < per_sign:
+            found[sign].append(lams)
+    return [lams for tuples in found.values() for lams in tuples]
+
+
+@pytest.mark.parametrize("trials", (1, 3, 5))
+@pytest.mark.parametrize("p", (2, 3, 97, DEFAULT_PRIME))
+def test_verdict_stops_early_with_the_report_of_all_trials(p, trials):
+    # the trials stop at max(virtual dimension, 0), which no trial goes
+    # below; at p = 2 and 3 some first trials land in special position and
+    # a later one goes lower, on each side of dimension 0
+    for i, lams in enumerate(_tuples_by_virtual_dimension(derive_seed("signs", p, trials))):
+        r, n = lams[0].r, lams[0].n
+        assert transversality_verdict(lams, r, n, i, trials, p) == _all_trials_verdict(
+            lams, i, trials, p
+        )
+
+
+def test_negative_virtual_dimension_stops_at_a_meet_of_dimension_0(monkeypatch):
+    systems = []
+
+    def counting(*args):
+        systems.append(args)
+        return random_system(*args)
+
+    random_system = tangent._random_system
+    monkeypatch.setattr(tangent, "_random_system", counting)
+    lams = (Partition((0, 0, 0), 4),) * 3  # three points on Gr(3,7)
+    rep = transversality_verdict(lams, 3, 7, trials=3)
+    assert (rep.nonzero, rep.achieved_dim, rep.expected_dim) == (False, 0, -24)
+    assert len(systems) == 1
+
+
 def test_generic_tangents_single():
     lam = Partition((1, 2), 3)
     rows = generic_tangents([lam], seed=7)
