@@ -12,6 +12,11 @@ deletion.  Pickling and copying rebuild the object through its
 constructor from ``_key``.  ``integer`` reads an integer argument: it
 refuses a float or string that ``int`` would truncate or parse.
 
+This is also the one module that reads outside input: ``_items``,
+``_int``, ``_ints`` and ``_words`` read JSON fields type-strictly (true is
+not 1, 1.0 is not 1), and ``_check_derived`` holds a document's derived
+fields to the record parsed from its independent ones.
+
 This replaces ``dataclass(frozen=True)`` because every CLI query is a
 fresh process that pays for each import: ``dataclasses`` imports
 ``inspect``, and each dataclass compiles generated source when its module
@@ -33,6 +38,43 @@ def integer(x: object) -> int:
         return index(x)
     except TypeError:
         raise ValueError(f"{x!r} is not an integer") from None
+
+
+def _items(value: object) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(value)
+
+
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(value: object) -> tuple[int, ...]:
+    return tuple(_int(x) for x in _items(value))
+
+
+def _words(value: object) -> tuple[str, ...]:
+    words = _items(value)
+    if not all(isinstance(w, str) for w in words):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return words
+
+
+def _check_derived(doc: object, want: object, path: str = "") -> None:
+    """ValueError naming the first entry of the JSON document ``doc`` that
+    differs from ``want``, the ``to_json_dict`` of the record read from the
+    document's independent fields.  Types count, as in ``_int``."""
+    if isinstance(want, dict) and hasattr(doc, "get"):
+        for key, value in want.items():
+            _check_derived(doc.get(key), value, f"{path}.{key}" if path else key)
+    elif isinstance(want, list) and isinstance(doc, (list, tuple)) and len(doc) == len(want):
+        for i, (item, value) in enumerate(zip(doc, want)):
+            _check_derived(item, value, f"{path}[{i}]")
+    elif type(doc) is not type(want) or doc != want:
+        raise ValueError(f"field {path} should be {want!r}, as the independent fields give")
 
 
 class Record:

@@ -224,7 +224,7 @@ def _level_cells(level) -> list[frozenset]:
 
 
 def _render_level(level) -> str:
-    d = level.phi_nullity if not level.terminal else level.r
+    d = level.phi_nullity
     cells = _level_cells(level)
     if len(cells) == 2:
         return render_overlay(cells[0], cells[1], d, level.r, level.n)

@@ -53,7 +53,10 @@ truth in tests.
 the same strip walker.
 
 Inequalities, violations and verdicts are immutable value records
-(``hornkit._record``) with a ``to_json_dict`` form.  The third decider,
+(``hornkit._record``) with a ``to_json_dict`` form.  An inequality stores
+its level, mu-tuple and right-hand side and reads its index sets off the
+mus; ``from_json_dict`` refuses a document whose ``cap`` or ``indices``
+differ from them.  The third decider,
 ``hornkit.tangent.transversality_verdict``, takes the same (lams, r, n).
 """
 
@@ -65,7 +68,7 @@ import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 
-from ._record import Record, integer
+from ._record import Record, _check_derived, _int, _ints, _items, integer
 from .strings import Partition, _check_box
 
 # perfbench/stream.py still calls horn.numeric_verdict; this alias goes
@@ -85,29 +88,26 @@ __all__ = [
 
 
 class HornInequality(Record):
-    """One Horn inequality: level d, the certifying tuple mus, the index
-    sets {mu^i_k + k}, and the right-hand side (s-1) * d * (n-r)."""
+    """One Horn inequality: level d, the certifying tuple mus, all in one
+    Lambda(d, cap), and the right-hand side (s-1) * d * (n-r).  Its index
+    sets {mu^i_k + k} are read off the mus."""
 
-    __slots__ = ("d", "mus", "indices", "rhs")
+    __slots__ = ("d", "mus", "rhs")
 
-    def __init__(
-        self,
-        d: int,
-        mus: tuple[Partition, ...],
-        indices: tuple[tuple[int, ...], ...],
-        rhs: int,
-    ) -> None:
+    def __init__(self, d: int, mus: tuple[Partition, ...], rhs: int) -> None:
         if d < 1:
             raise ValueError("level d must be positive")
-        if len(mus) != len(indices):
-            raise ValueError("one index set per mu required")
-        for mu, idx in zip(mus, indices):
-            if mu.r != d or len(idx) != d:
-                raise ValueError("index sets must have size d")
-            expected = tuple(part + k for k, part in enumerate(mu.parts, start=1))
-            if idx != expected:
-                raise ValueError(f"indices {idx} do not match mu {mu.parts}")
-        Record.__init__(self, d, mus, indices, rhs)
+        if any(mu.r != d for mu in mus):
+            raise ValueError("index sets must have size d")
+        if len({mu.cap for mu in mus}) > 1:
+            raise ValueError(f"the mus must all lie in one Lambda({d}, cap)")
+        Record.__init__(self, d, mus, rhs)
+
+    @property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(part + k for k, part in enumerate(mu.parts, start=1)) for mu in self.mus
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,33 +120,20 @@ class HornInequality(Record):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HornInequality":
-        """Parse ``to_json_dict`` output; ValueError on any malformed field."""
+        """Parse ``to_json_dict`` output from its d, cap, mus and rhs;
+        ValueError on a malformed field, or on a field that differs from
+        what those determine."""
         try:
             cap = _int(data["cap"])
-            return cls(
+            ineq = cls(
                 _int(data["d"]),
                 tuple(Partition(_ints(x), cap) for x in _items(data["mus"])),
-                tuple(_ints(x) for x in _items(data["indices"])),
                 _int(data["rhs"]),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Horn inequality: {exc!r}") from None
-
-
-def _items(value: object) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a list, got {value!r}")
-    return tuple(value)
-
-
-def _int(value: object) -> int:
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _ints(value: object) -> tuple[int, ...]:
-    return tuple(_int(x) for x in _items(value))
+        _check_derived(data, ineq.to_json_dict())
+        return ineq
 
 
 class Violation(Record):
@@ -194,12 +181,7 @@ def _level_table(d: int, r: int) -> tuple[_Row, ...]:
 
 def _inequality(d: int, r: int, rows: Sequence[int], rhs: int) -> HornInequality:
     table = _level_table(d, r)
-    return HornInequality(
-        d,
-        tuple(Partition(table[i].parts, r - d) for i in rows),
-        tuple(tuple(pos + 1 for pos in table[i].index) for i in rows),
-        rhs,
-    )
+    return HornInequality(d, tuple(Partition(table[i].parts, r - d) for i in rows), rhs)
 
 
 # A memo maps (d, r, sorted row numbers) to whether that mu-tuple has a

@@ -19,6 +19,14 @@ elimination core (``exactla._nullspace``), on rows already reduced mod p,
 and the kernel positions read only the pivots of an echelon
 (``tangent.schubert_position``).
 
+A trace stores only what the descent chose: each level's classes and
+kernel positions.  The box, the sampled map's rank and nullity, the
+lifted strings, the next classes, the final inequality, its slack and
+the certificates are all read off them.  So ``verify_witness`` checks
+only what that representation cannot rule out, and
+``WitnessTrace.from_json_dict`` refuses a document whose other fields
+differ from what its levels give.
+
 Every random choice is checked (two independent samples must agree on
 kernel dimension and positions) and every arithmetic claim is re-verified
 before returning, so a bad draw can only cause a retry or an error —
@@ -32,7 +40,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping, Sequence
 
-from ._record import Record, integer
+from ._record import Record, _check_derived, _int, _ints, _items, _words, integer
 from .exactla import (
     DEFAULT_PRIME,
     Subspace,
@@ -40,15 +48,13 @@ from .exactla import (
     check_prime,
     derive_seed,
 )
-from .horn import HornInequality, _int, _ints, _items, evaluate, horn_verdict, lr_oracle
+from .horn import HornInequality, evaluate, horn_verdict, lr_oracle
 from .strings import (
     Partition,
     StepString,
     _check_box,
     lift,
     partition_to_string,
-    string_to_partition,
-    substring_uv,
 )
 from .tangent import _random_system, schubert_position
 
@@ -73,23 +79,46 @@ class GenericityExhausted(Exception):
 
 
 class WitnessLevel(Record):
-    """One level of the descent: the ambient box, the sampled map's rank
-    and nullity, the kernel's positions, and the refined strings."""
+    """One level of the descent: its classes and the kernel's positions
+    against their source flags; every other field is read off those."""
 
-    __slots__ = (
-        "r",
-        "n",
-        "lams",
-        "phi_rank",
-        "phi_nullity",
-        "kernel_positions",
-        "lifted_strings",
-        "mus",
-    )
+    __slots__ = ("lams", "kernel_positions")
+
+    @property
+    def r(self) -> int:
+        return self.lams[0].r
+
+    @property
+    def n(self) -> int:
+        return self.lams[0].n
+
+    @property
+    def phi_nullity(self) -> int:
+        return self.kernel_positions[0].count("1")
+
+    @property
+    def phi_rank(self) -> int:
+        return self.r - self.phi_nullity
 
     @property
     def terminal(self) -> bool:
         return self.phi_nullity == self.r
+
+    @property
+    def lifted_strings(self) -> tuple[str, ...]:
+        return tuple(
+            lift(partition_to_string(lam), StepString(rho, 1)).word
+            for lam, rho in zip(self.lams, self.kernel_positions)
+        )
+
+    @property
+    def mus(self) -> tuple[Partition, ...]:
+        # each class's parts at the kernel's positions: substring_uv(lifted,
+        # 0, 2) keeps the class's '0's and its '1's lifted to '2'
+        return tuple(
+            Partition(tuple(x for x, ch in zip(lam.parts, rho) if ch == "1"), lam.cap)
+            for lam, rho in zip(self.lams, self.kernel_positions)
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,50 +134,67 @@ class WitnessLevel(Record):
 
 
 class WitnessTrace(Record):
-    __slots__ = ("levels", "final", "final_slack", "certificates")
+    """The descent's levels, top first; the violated inequality, its slack
+    and the certificates are read off them."""
+
+    __slots__ = ("levels",)
+
+    @property
+    def final(self) -> HornInequality:
+        # Each class's top-level positions that survive every kernel are
+        # its index set.
+        top, d = self.levels[0], self.levels[-1].r
+        indices = [range(1, top.r + 1)] * len(top.lams)
+        for level in self.levels:
+            indices = [
+                [c for c, ch in zip(kept, rho) if ch == "1"]
+                for kept, rho in zip(indices, level.kernel_positions)
+            ]
+        mus = tuple(
+            Partition(tuple(pos - k for k, pos in enumerate(idx, start=1)), top.r - d)
+            for idx in indices
+        )
+        return HornInequality(d, mus, (len(top.lams) - 1) * d * (top.n - top.r))
+
+    @property
+    def final_slack(self) -> int:
+        return evaluate(self.final, self.levels[0].lams)
+
+    @property
+    def certificates(self) -> tuple[str, ...]:
+        """Each class's first kernel positions with its final index set
+        marked '2'."""
+        return tuple(
+            "".join("2" if c in kept else ch for c, ch in enumerate(rho, start=1))
+            for kept, rho in zip(self.final.indices, self.levels[0].kernel_positions)
+        )
 
     def to_json_dict(self) -> dict:
+        final = self.final
         return {
             "levels": [level.to_json_dict() for level in self.levels],
             "certificates": list(self.certificates),
-            "final": self.final.to_json_dict(),
-            "slack": self.final_slack,
+            "final": final.to_json_dict(),
+            "slack": evaluate(final, self.levels[0].lams),
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "WitnessTrace":
-        """Parse ``to_json_dict`` output; ValueError on any malformed field."""
+        """Parse ``to_json_dict`` output from each level's classes and kernel
+        positions; ValueError on a malformed field, or on a field that
+        differs from what the levels determine."""
         try:
             levels = []
             for rec in _items(data["levels"]):
-                r, n = _int(rec["r"]), _int(rec["n"])
-                levels.append(
-                    WitnessLevel(
-                        r,
-                        n,
-                        tuple(Partition(_ints(x), n - r) for x in _items(rec["lams"])),
-                        _int(rec["phi_rank"]),
-                        _int(rec["phi_nullity"]),
-                        _words(rec["kernel_positions"]),
-                        _words(rec["lifted_strings"]),
-                        tuple(Partition(_ints(x), n - r) for x in _items(rec["mus"])),
-                    )
-                )
-            return cls(
-                tuple(levels),
-                HornInequality.from_json_dict(data["final"]),
-                _int(data["slack"]),
-                _words(data["certificates"]),
-            )
-        except (KeyError, TypeError) as exc:
+                cap = _int(rec["n"]) - _int(rec["r"])
+                lams = tuple(Partition(_ints(x), cap) for x in _items(rec["lams"]))
+                levels.append(WitnessLevel(lams, _words(rec["kernel_positions"])))
+            trace = cls(tuple(levels))
+            want = trace.to_json_dict()
+        except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed witness trace: {exc!r}") from None
-
-
-def _words(value: object) -> tuple[str, ...]:
-    words = _items(value)
-    if not all(isinstance(w, str) for w in words):
-        raise ValueError(f"expected a list of strings, got {value!r}")
-    return words
+        _check_derived(data, want)
+        return trace
 
 
 def _sample_nonzero(space: Subspace, rng: random.Random) -> tuple[int, ...]:
@@ -206,23 +252,11 @@ def _levels(
             raise GenericityExhausted(
                 f"level {level_no}: {last_error} after {MAX_RETRIES} attempts"
             )
-        lifted = tuple(lift(partition_to_string(lam), rh) for lam, rh in zip(lams, rho))
-        mus = tuple(string_to_partition(substring_uv(sig, 0, 2)) for sig in lifted)
-        nullity = kernel.dim
-        level = WitnessLevel(
-            r,
-            r + cap,
-            lams,
-            r - nullity,
-            nullity,
-            tuple(str(rh) for rh in rho),
-            tuple(str(sig) for sig in lifted),
-            mus,
-        )
+        level = WitnessLevel(lams, tuple(str(rh) for rh in rho))
         yield level, flag_pairs, meet, kernel
         if level.terminal:
             return
-        lams, r, level_no = mus, nullity, level_no + 1
+        lams, r, level_no = level.mus, kernel.dim, level_no + 1
 
 
 def find_witness(
@@ -240,111 +274,52 @@ def find_witness(
     """
     lams = tuple(lams)
     r, n = _check_box(lams, r, n)
-    cap = n - r
     seed = integer(seed)
     check_prime(p)
     if horn_verdict(lams, r, n).nonzero:
         what = "a single class" if len(lams) == 1 else f"the product of {len(lams)} classes"
         raise NonVanishingProduct(f"{what} is nonzero")
 
-    # Each class's top-level positions that survive every kernel are the
-    # final index set; its certificate marks them '2' inside the first kernel.
-    levels = []
-    indices = [tuple(range(1, r + 1))] * len(lams)
-    for level, *_ in _levels(lams, r, cap, seed, p):
-        levels.append(level)
-        indices = [
-            tuple(c for c, ch in zip(kept, rho) if ch == "1")
-            for kept, rho in zip(indices, level.kernel_positions)
-        ]
-    certs = tuple(
-        "".join("2" if c in kept else ch for c, ch in enumerate(rho, start=1))
-        for kept, rho in zip(indices, levels[0].kernel_positions)
-    )
-    d = levels[-1].r
-    mus = tuple(
-        Partition(tuple(pos - k for k, pos in enumerate(idx, start=1)), r - d)
-        for idx in indices
-    )
-    final = HornInequality(d, mus, tuple(indices), (len(lams) - 1) * d * cap)
-    slack = evaluate(final, lams)
-    if slack >= 0:
+    trace = WitnessTrace(tuple(level for level, *_ in _levels(lams, r, n - r, seed, p)))
+    final = trace.final
+    if evaluate(final, lams) >= 0:
         raise GenericityExhausted(
             "descent produced a non-violated inequality; the sampled data "
             "cannot have been generic"
         )
-    if not lr_oracle(mus, d, r):
+    if not lr_oracle(final.mus, final.d, r):
         raise GenericityExhausted(
             f"descent at p = {p} produced an inequality whose mu-product "
-            f"vanishes on Gr({d}, {r}); the sampled data cannot have been generic"
+            f"vanishes on Gr({final.d}, {r}); the sampled data cannot have been generic"
         )
-    return WitnessTrace(tuple(levels), final, slack, certs)
+    return trace
 
 
 def verify_witness(trace: WitnessTrace, lams: Sequence[Partition]) -> bool:
-    """Independently re-check every claim a trace makes about the classes."""
+    """Independently re-check what a trace's levels claim about the
+    classes; False on a refused or malformed trace, never an exception."""
     lams = tuple(lams)
     try:
-        if not lams or not trace.levels:
+        levels = trace.levels
+        if not lams or not levels or levels[0].lams != lams:
             return False
-        r, cap = lams[0].r, lams[0].cap
-        n = r + cap
-        s = len(lams)
-        top = trace.levels[0]
-        if top.lams != lams or top.r != r or top.n != n:
-            return False
-        # Level chaining: nullities strictly decrease and feed the next level.
-        for level, nxt in zip(trace.levels, trace.levels[1:]):
-            if level.terminal or level.phi_nullity >= level.r:
+        _check_box(lams, levels[0].r, levels[0].n)
+        for i, level in enumerate(levels, start=1):
+            words = level.kernel_positions
+            # 01-words of the level's length, one kernel dimension, only the
+            # last level terminal, and each level's mus the next one's classes
+            if (
+                len(words) != len(lams)
+                or len({w.count("1") for w in words}) != 1
+                or any(StepString(w, 1).n != level.r for w in words)
+                or level.terminal != (i == len(levels))
+                or (i < len(levels) and levels[i].lams != level.mus)
+            ):
                 return False
-            if nxt.lams != level.mus or nxt.r != level.phi_nullity:
-                return False
-            if nxt.n - nxt.r != cap:
-                return False
-        if not trace.levels[-1].terminal:
-            return False
-        # Per-level string consistency.
-        for level in trace.levels:
-            if level.phi_rank != level.r - level.phi_nullity:
-                return False
-            fields = (
-                level.lams, level.kernel_positions, level.lifted_strings, level.mus
-            )
-            if any(len(field) != s for field in fields):
-                return False
-            for lam, rho_word, lifted_word, mu in zip(*fields):
-                rho = StepString(rho_word, 1)
-                if rho.word.count("1") != level.phi_nullity or rho.n != level.r:
-                    return False
-                sigma = lift(partition_to_string(lam), rho)
-                if sigma.word != lifted_word:
-                    return False
-                if string_to_partition(substring_uv(sigma, 0, 2)) != mu:
-                    return False
-        # Certificates carry the final index sets.
+        # The inequality is genuinely violated and genuinely a Horn
+        # inequality: its mu-product is nonzero, by the LR oracle, which
+        # shares no code with the search.
         final = trace.final
-        d = final.d
-        if len(trace.certificates) != s or d != trace.levels[-1].r:
-            return False
-        for cert_word, rho_word, idx, mu in zip(
-            trace.certificates, top.kernel_positions, final.indices, final.mus
-        ):
-            cert = StepString(cert_word, 2)
-            if cert.n != r or cert.positions(2) != tuple(idx):
-                return False
-            if cert_word.replace("2", "1") != rho_word:
-                return False
-            if mu.parts != tuple(pos - k for k, pos in enumerate(idx, start=1)):
-                return False
-            if mu.cap != r - d:
-                return False
-        if final.rhs != (s - 1) * d * cap:
-            return False
-        # The inequality is genuinely violated...
-        if evaluate(final, lams) != trace.final_slack or trace.final_slack >= 0:
-            return False
-        # ...and genuinely a Horn inequality: its mu-product is nonzero, by
-        # the LR oracle, which shares no code with the search.
-        return lr_oracle(final.mus, d, r)
+        return evaluate(final, lams) < 0 and lr_oracle(final.mus, final.d, lams[0].r)
     except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return False

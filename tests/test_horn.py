@@ -55,17 +55,22 @@ def _case(r, n, *parts):
 
 
 def test_inequality_validates_indices():
+    # the index sets are read off the mus, so they cannot disagree with them
     mus = (Partition((0, 1), 1), Partition((0, 1), 1))
-    ineq = HornInequality(2, mus, ((1, 3), (1, 3)), 8)
-    assert ineq.rhs == 8
-    with pytest.raises(ValueError):
-        HornInequality(2, mus, ((1, 2), (1, 3)), 8)
+    ineq = HornInequality(2, mus, 8)
+    assert ineq.rhs == 8 and ineq.indices == ((1, 3), (1, 3))
+    with pytest.raises(ValueError, match="size d"):
+        HornInequality(3, mus, 8)
 
 
 def test_inequality_json_round_trip():
     mus = (Partition((0, 3), 4), Partition((1, 4), 4))
-    ineq = HornInequality(2, mus, ((1, 5), (2, 6)), 8)
-    assert HornInequality.from_json_dict(ineq.to_json_dict()) == ineq
+    ineq = HornInequality(2, mus, 8)
+    doc = ineq.to_json_dict()
+    assert doc == {
+        "d": 2, "cap": 4, "mus": [[0, 3], [1, 4]], "indices": [[1, 5], [2, 6]], "rhs": 8
+    }
+    assert HornInequality.from_json_dict(doc) == ineq
 
 
 @pytest.mark.parametrize(
@@ -76,12 +81,17 @@ def test_inequality_json_round_trip():
         lambda doc: doc.__setitem__("mus", 5),
         lambda doc: doc.__setitem__("d", True),
         lambda doc: doc.__setitem__("rhs", 2.0),
+        lambda doc: doc["indices"].__setitem__(0, [2]),
+        lambda doc: doc["indices"][1].__setitem__(0, 2.0),
+        lambda doc: doc["indices"].pop(),
+        lambda doc: doc.__delitem__("indices"),
     ],
-    ids=["string-cap", "missing-rhs", "int-mus", "bool-d", "float-rhs"],
+    ids=["string-cap", "missing-rhs", "int-mus", "bool-d", "float-rhs", "wrong-indices",
+         "float-index", "short-indices", "missing-indices"],
 )
 def test_inequality_from_json_dict_rejects_malformed_fields(mutate):
     mus = (Partition((0,), 1), Partition((1,), 1))
-    doc = HornInequality(1, mus, ((1,), (2,)), 2).to_json_dict()
+    doc = HornInequality(1, mus, 2).to_json_dict()
     mutate(doc)
     with pytest.raises(ValueError):
         HornInequality.from_json_dict(doc)
@@ -176,8 +186,7 @@ def _enumerate_reference(r, n, s):
                 continue
             mus = tuple(Partition(mu, r - d) for mu in parts)
             if horn_verdict(mus, d, r).nonzero:
-                indices = tuple(tuple(x + k for k, x in enumerate(mu, 1)) for mu in parts)
-                yield HornInequality(d, mus, indices, (s - 1) * d * (n - r))
+                yield HornInequality(d, mus, (s - 1) * d * (n - r))
 
 
 @pytest.mark.parametrize(
@@ -289,7 +298,9 @@ def _inequality_from_indices(indices, cap_inner, d, rhs):
         Partition(tuple(i - k for k, i in enumerate(idx, start=1)), cap_inner)
         for idx in indices
     )
-    return HornInequality(d, mus, tuple(tuple(i) for i in indices), rhs)
+    ineq = HornInequality(d, mus, rhs)
+    assert ineq.indices == tuple(tuple(i) for i in indices)
+    return ineq
 
 
 def test_evaluate_first_example():

@@ -20,7 +20,7 @@ PAIR = (Partition((0, 2), 2), Partition((1, 1), 2))
 
 def _ineq():
     mus = (Partition((0,), 1), Partition((1,), 1))
-    return HornInequality(1, mus, ((1,), (2,)), 2)
+    return HornInequality(1, mus, 2)
 
 
 def _build(cls):
@@ -208,24 +208,20 @@ def test_flag_model_keeps_its_inverse_out_of_the_value():
         (lambda: FlagModel(Mat(((1, 2),), 7)), ValueError, "must be square"),
         (lambda: FlagModel(Mat(((1, 2), (2, 4)), 7)), ValueError, "must be invertible"),
         (
-            lambda: HornInequality(0, (), (), 0),
+            lambda: HornInequality(0, (), 0),
             ValueError,
             "level d must be positive",
         ),
         (
-            lambda: HornInequality(1, (Partition((0,), 1),), (), 0),
-            ValueError,
-            "one index set per mu",
-        ),
-        (
-            lambda: HornInequality(1, (Partition((0,), 1),), ((1, 2),), 0),
+            lambda: HornInequality(1, (Partition((0, 1), 1),), 0),
             ValueError,
             "index sets must have size d",
         ),
+        # the JSON form writes one cap: a second one would not round-trip
         (
-            lambda: HornInequality(1, (Partition((0,), 1),), ((2,),), 0),
+            lambda: HornInequality(1, (Partition((0,), 1), Partition((0,), 2)), 2),
             ValueError,
-            "do not match mu",
+            r"all lie in one Lambda\(1, cap\)",
         ),
         (
             lambda: Verdict(False, "horn-recursion"),

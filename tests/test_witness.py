@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 import hornkit.witness as witness
 from _twostep import contains_subspace, induced_flag, quotient_pattern
 from hornkit.exactla import DEFAULT_PRIME, Mat, Subspace, derive_seed, intersect
-from hornkit.horn import HornInequality, lr_oracle
+from hornkit.horn import lr_oracle
 from hornkit.strings import (
     Partition,
     StepString,
     all_partitions,
     lift,
+    parse_partition,
     string_to_partition,
+    substring_uv,
 )
 from hornkit.tangent import (
     FlagModel,
@@ -29,6 +32,7 @@ from hornkit.tangent import (
 from hornkit.witness import (
     GenericityExhausted,
     NonVanishingProduct,
+    WitnessLevel,
     WitnessTrace,
     find_witness,
     verify_witness,
@@ -210,29 +214,57 @@ def test_verify_rejects_wrong_classes():
     trace = _mid_trace()
     assert not verify_witness(trace, tuple(reversed(MID_PAIR)))
     assert not verify_witness(trace, ())
+    # classes from two boxes: the levels alone would give slack -12 and a
+    # Horn inequality
+    mixed = (Partition((0, 0, 0), 4), Partition((0, 0, 0), 5))
+    assert not verify_witness(_level_trace(mixed, ("111", "111")), mixed)
+
+
+def _level_trace(lams, *kernel_positions):
+    """A trace built from levels alone: each level's classes are the mus
+    of the level before."""
+    levels = []
+    for words in kernel_positions:
+        levels.append(WitnessLevel(lams, words))
+        lams = levels[-1].mus
+    return WitnessTrace(tuple(levels))
+
+
+def _refused(doc, where):
+    """from_json_dict refuses the document and names the field ``where``."""
+    with pytest.raises(ValueError, match=f"^field {re.escape(where)} should be "):
+        WitnessTrace.from_json_dict(doc)
 
 
 def test_verify_rejects_perturbed_slack():
-    trace = _mid_trace()
-    assert not verify_witness(_replace(trace, final_slack=-2), MID_PAIR)
-    assert not verify_witness(_replace(trace, final_slack=0), MID_PAIR)
+    for slack in (-2, 0):
+        doc = _mid_trace().to_json_dict()
+        doc["slack"] = slack
+        _refused(doc, "slack")
+    # Levels whose inequality holds are refused: stopping the mid pair at a
+    # terminal first level gives its dimension count, 6 + 7 - 12 = 1.
+    trace = _level_trace(MID_PAIR, ("111", "111"))
+    assert trace.final_slack == 1
+    assert not verify_witness(trace, MID_PAIR)
 
 
 def test_verify_rejects_perturbed_certificate():
-    trace = _mid_trace()
-    bad = _replace(trace, certificates=("220", "202"))
-    assert not verify_witness(bad, MID_PAIR)
-    assert not verify_witness(_replace(trace, certificates=("202",)), MID_PAIR)
+    doc = _mid_trace().to_json_dict()
+    doc["certificates"] = ["220", "202"]
+    _refused(doc, "certificates[0]")
+    doc["certificates"] = ["202"]
+    _refused(doc, "certificates")
 
 
 def test_verify_rejects_certificate_off_the_first_kernel():
     # Same '2' positions as the genuine certificates, but '1's where the
-    # first kernel has '0's: each certificate must be that kernel's
-    # positions with the final index set marked '2'.
+    # first kernel has '0's: each certificate is that kernel's positions
+    # with the final index set marked '2'.
     trace = find_witness(BIG_PAIR, 6, 10, seed=0)
     assert trace.certificates == ("200120", "020012")
-    bad = _replace(trace, certificates=("210120", "120012"))
-    assert not verify_witness(bad, BIG_PAIR)
+    doc = trace.to_json_dict()
+    doc["certificates"] = ["210120", "120012"]
+    _refused(doc, "certificates[0]")
 
 
 def test_verify_rejects_truncated_levels():
@@ -240,6 +272,11 @@ def test_verify_rejects_truncated_levels():
     assert not verify_witness(_replace(trace, levels=trace.levels[:1]), MID_PAIR)
     assert not verify_witness(_replace(trace, levels=trace.levels[1:]), MID_PAIR)
     assert not verify_witness(_replace(trace, levels=()), MID_PAIR)
+    # a level past the terminal one keeps every index: the same inequality
+    last = trace.levels[-1]
+    extra = trace.levels + (WitnessLevel(last.mus, last.kernel_positions),)
+    assert WitnessTrace(extra).final == trace.final
+    assert not verify_witness(WitnessTrace(extra), MID_PAIR)
 
 
 def test_verify_rejects_tampered_level_strings():
@@ -249,60 +286,146 @@ def test_verify_rejects_tampered_level_strings():
     assert not verify_witness(
         _replace(trace, levels=(bad_rho, trace.levels[1])), MID_PAIR
     )
-    bad_lift = _replace(good, lifted_strings=("2001200", "0200120"))
-    assert not verify_witness(
-        _replace(trace, levels=(bad_lift, trace.levels[1])), MID_PAIR
-    )
+    # words longer than the level, or with a letter other than 0 and 1,
+    # that select the same positions
+    for words in (("1010", "1010"), ("1x1", "101")):
+        bad = _replace(good, kernel_positions=words)
+        assert bad.mus == good.mus
+        assert not verify_witness(_replace(trace, levels=(bad, trace.levels[1])), MID_PAIR)
+    # a next level whose classes are not this level's mus
+    other = _replace(trace.levels[1], lams=(Partition((0, 0), 4),) * 2)
+    assert not verify_witness(_replace(trace, levels=(good, other)), MID_PAIR)
+    doc = trace.to_json_dict()
+    doc["levels"][0]["lifted_strings"][0] = "2001200"
+    _refused(doc, "levels[0].lifted_strings[0]")
 
 
 def test_verify_rejects_violated_but_non_horn_inequality():
-    # indices ({1,2},{1,2}) give slack -1 on the mid pair, but the mu-tuple
-    # ((0,0),(0,0)) has a vanishing product on Gr(2,3): a genuine violated
-    # inequality that is NOT a Horn inequality must be rejected.
-    trace = _mid_trace()
-    mus = (Partition((0, 0), 1), Partition((0, 0), 1))
-    fake = HornInequality(2, mus, ((1, 2), (1, 2)), 8)
-    assert not lr_oracle(mus, 2, 3)
-    bad = _replace(
-        trace, final=fake, final_slack=-1, certificates=("220", "220")
-    )
-    assert not verify_witness(bad, MID_PAIR)
+    # Index sets ({1,2},{1,2}) give slack -1 on the mid pair, but the
+    # mu-tuple ((0,0),(0,0)) has a vanishing product on Gr(2,3): levels that
+    # descend to a violated inequality that is NOT a Horn inequality are
+    # refused by the LR check alone.
+    trace = _level_trace(MID_PAIR, ("110", "110"), ("11", "11"))
+    assert trace.final.indices == ((1, 2), (1, 2)) and trace.final_slack == -1
+    assert not lr_oracle(trace.final.mus, 2, 3)
+    assert not verify_witness(trace, MID_PAIR)
 
 
 def test_verify_rejects_inconsistent_rank():
-    trace = _mid_trace()
-    bad = _replace(trace.levels[0], phi_rank=2)
-    assert not verify_witness(
-        _replace(trace, levels=(bad, trace.levels[1])), MID_PAIR
-    )
+    doc = _mid_trace().to_json_dict()
+    doc["levels"][0]["phi_rank"] = 2
+    _refused(doc, "levels[0].phi_rank")
+    # One kernel, one dimension: positions with different counts of '1's.
+    # For two point classes on Gr(3,6) the levels below would otherwise
+    # end in a violated Horn inequality.
+    points = (Partition((0, 0, 0), 3),) * 2
+    bad = _level_trace(points, ("001", "011"), ("1", "1"))
+    assert bad.final_slack < 0 and lr_oracle(bad.final.mus, bad.final.d, 3)
+    assert not verify_witness(bad, points)
+    assert not verify_witness(_level_trace(MID_PAIR, ("111", "110")), MID_PAIR)
 
 
 def test_verify_rejects_non_string_certificate():
+    doc = _mid_trace().to_json_dict()
+    doc["certificates"][0] = 7
+    _refused(doc, "certificates[0]")
     trace = _mid_trace()
-    bad = _replace(trace, certificates=(7, "202"))
-    assert not verify_witness(bad, MID_PAIR)
+    bad = _replace(trace.levels[0], kernel_positions=(101, "101"))
+    assert not verify_witness(_replace(trace, levels=(bad, trace.levels[1])), MID_PAIR)
 
 
 def test_verify_rejects_malformed_trace_objects():
     trace = _mid_trace()
-    assert not verify_witness(_replace(trace, final=None), MID_PAIR)
-    assert not verify_witness(_replace(trace, levels=(None, trace.levels[1])), MID_PAIR)
+    first, last = trace.levels
+    for levels in (
+        None,
+        7,
+        (None, last),
+        (first, None),
+        (_replace(first, lams=None), last),
+        (_replace(first, kernel_positions=None), last),
+        (_replace(first, kernel_positions=("101",)), last),
+        (_replace(first, kernel_positions=("101",) * 3), last),
+        (first, _replace(last, kernel_positions=("11", "1111"))),
+    ):
+        assert not verify_witness(_replace(trace, levels=levels), MID_PAIR)
     assert not verify_witness(None, MID_PAIR)
 
 
 # --- malformed serialized traces ---------------------------------------------------
 
-GOLDEN_GR37 = pathlib.Path(__file__).parent / "golden" / "witness_gr37.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_GR37 = GOLDEN / "witness_gr37.json"
 
 
 def _golden_doc():
     return json.loads(GOLDEN_GR37.read_text())
 
 
+def _golden_traces():
+    """(name, trace document, classes) for every witness trace in the goldens."""
+    for name in ("witness_gr37.json", "witness_gr610.json"):
+        doc = json.loads((GOLDEN / name).read_text())
+        yield name, doc, tuple(parse_partition(c) for c in doc["classes"])
+    big = json.loads((GOLDEN / "big_boxes.json").read_text())
+    for i, case in enumerate(big["witness"]):
+        lams = tuple(Partition(tuple(parts), case["n"] - case["r"]) for parts in case["parts"])
+        yield f"big_boxes.json-{i}", case["trace"], lams
+
+
+GOLDEN_TRACES = list(_golden_traces())
+
+
 def test_golden_trace_parses_and_verifies():
     trace = WitnessTrace.from_json_dict(_golden_doc())
     assert trace == _mid_trace()
     assert verify_witness(trace, MID_PAIR)
+
+
+@pytest.mark.parametrize(
+    "doc, lams", [case[1:] for case in GOLDEN_TRACES], ids=[case[0] for case in GOLDEN_TRACES]
+)
+def test_every_golden_trace_round_trips_and_verifies(doc, lams):
+    trace = WitnessTrace.from_json_dict(doc)
+    fields = {key: doc[key] for key in ("levels", "certificates", "final", "slack")}
+    assert json.dumps(trace.to_json_dict()) == json.dumps(fields)
+    assert verify_witness(trace, lams)
+
+
+def _derived_paths():
+    """The path of every field of the gr37 golden that its levels determine."""
+    doc = _golden_doc()
+    for i, level in enumerate(doc["levels"]):
+        for key in ("r", "n", "phi_rank", "phi_nullity"):
+            yield ("levels", i, key)
+        for key in ("lifted_strings", "mus"):
+            for j in range(len(level[key])):
+                yield ("levels", i, key, j)
+    for j in range(len(doc["certificates"])):
+        yield ("certificates", j)
+    for key in doc["final"]:
+        yield ("final", key)
+    yield ("slack",)
+
+
+def _path_text(path):
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+@pytest.mark.parametrize("path", list(_derived_paths()), ids=_path_text)
+def test_from_json_dict_refuses_an_edited_derived_field(path):
+    doc = _golden_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    value = node[path[-1]]
+    # an integer one more, a word one letter longer, a list one entry longer
+    node[path[-1]] = value + 1 if isinstance(value, int) else value + value[:1]
+    if path[-1] == "n":
+        # n fixes the cap the level's classes are read in, so the first
+        # field to disagree is the first lifted string
+        path = path[:2] + ("lifted_strings", 0)
+    _refused(doc, _path_text(path))
 
 
 @pytest.mark.parametrize(
@@ -400,6 +523,12 @@ def test_every_vanishing_product_gets_verified_witness():
             trace = find_witness(lams, r, n, seed=0)
             assert verify_witness(trace, lams), lams
             assert trace.certificates == _composed_certificates(trace), lams
+            # the next classes are the inner block of each lifted string
+            for level in trace.levels:
+                assert level.mus == tuple(
+                    string_to_partition(substring_uv(StepString(word, 2), 0, 2))
+                    for word in level.lifted_strings
+                ), lams
             rs = [lvl.r for lvl in trace.levels]
             assert rs[0] == r and all(a > b for a, b in zip(rs, rs[1:]))
             assert len(rs) <= r
