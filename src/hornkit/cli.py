@@ -119,6 +119,10 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _format_indices(indices) -> str:
+    return " ".join("{" + ",".join(map(str, idx)) + "}" for idx in indices)
+
+
 # --- check -------------------------------------------------------------------
 
 
@@ -170,9 +174,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             line = f"{name}: {'nonzero' if rep['nonzero'] else 'zero'}"
             if rep.get("violated"):
                 v = rep["violated"]
-                idx = " ".join(
-                    "{" + ",".join(map(str, i)) + "}" for i in v["indices"]
-                )
+                idx = _format_indices(v["indices"])
                 line += f" (violated d={v['d']} indices {idx} rhs {v['rhs']} slack {v['slack']})"
             if "achieved_dim" in rep:
                 line += f" (achieved {rep['achieved_dim']}, expected {rep['expected_dim']})"
@@ -185,8 +187,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _format_ineq_text(ineq) -> str:
-    idx = " ".join("{" + ",".join(map(str, i)) + "}" for i in ineq.indices)
-    return f"d={ineq.d} rhs={ineq.rhs} indices {idx}"
+    return f"d={ineq.d} rhs={ineq.rhs} indices {_format_indices(ineq.indices)}"
 
 
 def cmd_inequalities(args: argparse.Namespace) -> int:

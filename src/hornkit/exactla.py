@@ -8,23 +8,23 @@ equality of data.  ``Mat`` and ``Subspace`` are immutable value records
 (``hornkit._record``).  ``Subspace.from_equations`` solves stacked linear
 equations with one nullspace; ``intersect`` first turns bases into them.
 
-Every elimination runs one forward-elimination core, ``_echelon``: it
-scales each pivot row to a leading 1 and clears the rows below, never
-those above.  It takes pivot columns in pairs: one pass over the
-remaining rows clears both columns of a pair, or clears the first and
-drops both when the second has no pivot, so a matrix of full rank costs
-about half the passes of a column at a time, and each pivot is still
-the first remaining row nonzero in its column, so the echelon is that
-of a column at a time.  Each caller then does only the work whose
-result it reads.
+Every elimination, the Bruhat form's included, runs one
+forward-elimination core, ``_echelon``: it scales each pivot row to a
+leading 1 and clears the rows below, never those above.  It takes pivot
+columns in pairs: one pass over the remaining rows clears both columns
+of a pair, or clears the first and drops both when the second has no
+pivot, so a matrix of full rank costs about half the passes of a column
+at a time, and each pivot is still the first remaining row nonzero in
+its column, so the echelon is that of a column at a time.  Each caller
+then does only the work whose result it reads.
 ``Mat.rank`` counts the pivots and back-substitutes nothing; so do the
 numeric decider, ``hornkit.tangent.transversality_verdict``, which reads
-only the rank of its equations, and ``hornkit.tangent.schubert_position``,
-which reads only the pivot columns.  The others back-substitute
-bottom-up with ``_back_substitute``, which works on the pivot-free
-columns only (a reduced row is 1 at its own pivot and 0 at the others)
-and computes each entry there as one dot product with the rows already
-solved below it:
+only the rank of its equations, ``hornkit.tangent.schubert_position``,
+which reads only the pivot columns, and ``_bruhat_pivots`` (below).
+The others back-substitute bottom-up with ``_back_substitute``, which
+works on the pivot-free columns only (a reduced row is 1 at its own
+pivot and 0 at the others) and computes each entry there as one dot
+product with the rows already solved below it:
 
 - ``rref`` (and so ``Subspace.from_spanning``) writes out the full
   reduced rows;
@@ -55,10 +55,11 @@ entry is below (k + 1) * p**2 in absolute value, and Python integers do
 not overflow, so every result is exact and the same as with reduction
 at each update.
 
-``_bruhat`` is no elimination but a normal form: it reduces an
-invertible square matrix to a scaled permutation matrix R * x * A with
-upper-triangular R and A (the Bruhat decomposition GL = B W B).
-``hornkit.tangent`` reads two flag pairs' relative position off it.
+``_bruhat_pivots`` eliminates [x | carried | I] for an invertible square
+x and reads each pivot's input row off its identity block.  Fed x's rows
+or columns bottom-up, it gives the permutation of the Bruhat
+decomposition GL = B W B and a triangular factor, from which
+``hornkit.tangent`` reads two flag pairs' relative position.
 
 Randomness is fed through ``random.Random`` seeded deterministically;
 ``derive_seed`` hashes a label tuple so independent draws inside one run
@@ -338,17 +339,13 @@ class Mat(Record):
             raise ValueError("mixed moduli")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        cols = other.transpose().data
+        cols = tuple(zip(*other.data))
         p = self.p
         out = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
             for row in self.data
         )
         return Mat._of_reduced(out, p)
-
-    def transpose(self) -> "Mat":
-        data = tuple(zip(*self.data)) if self.data else ()
-        return Mat._of_reduced(data, self.p)
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
@@ -445,48 +442,37 @@ def intersect(spaces: Sequence[Subspace]) -> Subspace:
     return Subspace.from_equations(functionals, ambient, p)
 
 
-def _bruhat(x: Mat) -> tuple[tuple[int, ...], Mat, Mat]:
-    """Bruhat normal form of an invertible square matrix: (perm, R, A) with
-    R and A upper-triangular with unit diagonal and R * x * A a scaled
-    permutation matrix whose column j is nonzero in row perm[j] alone.
+def _bruhat_pivots(
+    rows: Sequence[Sequence[int]], carried: Sequence[Sequence[int]], p: int
+) -> list[tuple[int, int, list[int]]]:
+    """Pivots of the echelon of [rows | carried | I], for m rows of length m
+    reduced mod p, each with a carried row of one common length.
 
-    Row by row from the bottom: the leftmost nonzero entry of the row is
-    its pivot.  Multiples of the row are added to the rows above it (R) to
-    clear the pivot's column there; the rows below are already zero in
-    that column.  Then multiples of the pivot's column, now zero off the
-    pivot, are added to the columns right of it (A), which clears the rest
-    of the row and changes no other row, so ``work`` is not updated for it.
-    ValueError if x is singular.
+    Returns (pivot column, input row, carried entries) per pivot, top-down.
+    Each pivot is the first remaining row nonzero in its column, so a row
+    gains only multiples of the rows before it: a pivot row is lambda times
+    the input, with lambda (its identity block) last nonzero at its own
+    input row, and its carried entries are lambda * carried.  ValueError
+    if the rows are not square or are singular (the pivots are not columns
+    0..m-1).
     """
-    m, p = x.nrows, x.p
-    if m != x.ncols:
+    m = len(rows)
+    if any(len(row) != m for row in rows):
         raise ValueError("Bruhat form of a non-square matrix")
-    work = [list(row) for row in x.data]
-    left = [[int(i == j) for j in range(m)] for i in range(m)]
-    right = [[int(i == j) for j in range(m)] for i in range(m)]
-    perm = [0] * m
-    for i in reversed(range(m)):
-        row = work[i]
-        j = next((k for k, v in enumerate(row) if v), None)
-        if j is None:
-            raise ValueError("matrix is singular")
-        perm[j] = i
-        inv = pow(row[j], -1, p)
-        for h in range(i):
-            f = work[h][j] * inv % p
-            if f:
-                work[h] = [(a - f * b) % p for a, b in zip(work[h], row)]
-                left[h] = [(a - f * b) % p for a, b in zip(left[h], left[i])]
-        for k in range(j + 1, m):
-            g = row[k] * inv % p
-            if g:
-                for arow in right:
-                    arow[k] = (arow[k] - g * arow[j]) % p
-    return (
-        tuple(perm),
-        Mat._of_reduced(tuple(map(tuple, left)), p),
-        Mat._of_reduced(tuple(map(tuple, right)), p),
-    )
+    start = m + (len(carried[0]) if m else 0)  # first column of the identity
+    aug = [
+        [*row, *extra, *(int(i == j) for j in range(m))]
+        for i, (row, extra) in enumerate(zip(rows, carried))
+    ]
+    echelon = _echelon(aug, start + m, p)
+    if [col for col, _ in echelon] != list(range(m)):
+        raise ValueError("matrix is singular")
+    pivots = []
+    for col, tail in echelon:
+        ident = tail[start - col - 1:]
+        source = max(i for i, x in enumerate(ident) if x)
+        pivots.append((col, source, tail[m - col - 1:start - col - 1]))
+    return pivots
 
 
 def random_matrix(nrows: int, ncols: int, rng: random.Random, p: int) -> Mat:

@@ -303,11 +303,13 @@ def evaluate(ineq: HornInequality, lams: Sequence[Partition]) -> int:
     if len(lams) != len(ineq.mus):
         raise ValueError("one class per index set required")
     total = 0
-    for lam, idx in zip(lams, ineq.indices):
-        for pos in idx:
-            if not 1 <= pos <= lam.r:
-                raise ValueError(f"index {pos} out of range for {lam.r} parts")
-            total += lam.parts[pos - 1]
+    for lam, mu in zip(lams, ineq.mus):
+        parts, r = lam.parts, lam.r
+        for k, part in enumerate(mu.parts, start=1):
+            pos = part + k
+            if not 1 <= pos <= r:
+                raise ValueError(f"index {pos} out of range for {r} parts")
+            total += parts[pos - 1]
     return total - ineq.rhs
 
 

@@ -44,8 +44,8 @@ dimension (unknowns minus rank), and the kernel descent
 (``hornkit.witness``) the mapped-back nullspace.  For three or more
 classes the unknowns are the grid cells and the equations are the
 classes' stacked tangent equations.  Two classes need no equations: in
-coordinates read off the Bruhat normal forms of the two flag pairs'
-relative positions (``exactla._bruhat``), both tangent spaces are
+coordinates read off the Bruhat cells of the two flag pairs' relative
+positions (``exactla._bruhat_pivots``), both tangent spaces are
 coordinate patterns, so their meet is spanned by the cells free for both
 (``_common_cells``), exactly and at every prime.  The product is
 nonzero exactly when the intersection dimension equals the (possibly
@@ -70,7 +70,7 @@ from .exactla import (
     DEFAULT_PRIME,
     Mat,
     Subspace,
-    _bruhat,
+    _bruhat_pivots,
     _echelon,
     check_prime,
     derive_seed,
@@ -301,27 +301,33 @@ def _common_cells(
     pattern of lam1 (cell (a, b) free when a < lam1_b, 0-based) and the
     second asks M psi K to lie in the pattern of lam2, for M = W2^-1 W1
     and K = V1^-1 V2.  Upper-triangular factors on either side of psi keep
-    a pattern, since parts weakly increase.  The Bruhat forms
-    S_M = R_M M A_M and S_K = R_K K A_K (``_bruhat``) are scaled
-    permutations, so for psi = A_M E_ab R_K, which is in the first pattern
+    a pattern, since parts weakly increase.  ``_bruhat_pivots`` on M's
+    columns, each read bottom-up, gives an upper-triangular A with column a
+    of M A last nonzero in row row_of[a], and on K's rows, bottom row
+    first, an upper-triangular R with row b of R K first nonzero in column
+    col_of[b].  Clearing above and right of those entries takes more such
+    factors to scaled permutations S_M = R_M M A and S_K = R K A_K
+    (GL = B W B).  So for psi = A E_ab R, which is in the first pattern
     exactly when E_ab is, M psi K = R_M^-1 (S_M E_ab S_K) A_K^-1 is in the
-    second exactly when the one cell of S_M E_ab S_K is free for lam2.  So
-    W1 A_M E_ab R_K V1^-1 over the cells that pass both tests spans the
-    meet, exactly, at every prime.
+    second exactly when cell (row_of[a], col_of[b]) is free for lam2, and
+    W1 A E_ab R V1^-1 over the cells that pass both tests spans the meet,
+    exactly, at every prime.  The pivots carry W1 A's columns and
+    R V1^-1's rows.
     """
     (lam1, lam2), ((v1, w1), (v2, w2)) = lams, pairs
-    p = v1.p
-    row_of, _, a_m = _bruhat(w2.inverse.mul(w1.matrix))
-    rows_k, r_k, _ = _bruhat(v1.inverse.mul(v2.matrix))
-    col_of = [0] * lam1.r
-    for c, b in enumerate(rows_k):
-        col_of[b] = c
-    left = w1.matrix.mul(a_m).transpose().data  # column a of W1 A_M
-    right = r_k.mul(v1.inverse).data  # row b of R_K V1^-1
+    p, cap, r = v1.p, lam1.cap, lam1.r
+    columns = [col[::-1] for col in zip(*w2.inverse.mul(w1.matrix).data)]
+    row_of, left = [0] * cap, [[]] * cap  # left[a]: column a of W1 A
+    for c, a, carried in _bruhat_pivots(columns, list(zip(*w1.matrix.data)), p):
+        row_of[a], left[a] = cap - 1 - c, carried
+    rows = v1.inverse.mul(v2.matrix).data[::-1]
+    col_of, right = [0] * r, [[]] * r  # right[b]: row b of R V1^-1
+    for c, i, carried in _bruhat_pivots(rows, v1.inverse.data[::-1], p):
+        col_of[r - 1 - i], right[r - 1 - i] = c, carried
     parts1, parts2 = lam1.parts, lam2.parts
     return [
         tuple([x * y % p for x in left[a] for y in right[b]])
-        for b in range(lam1.r)
+        for b in range(r)
         for a in range(parts1[b])
         if row_of[a] < parts2[col_of[b]]
     ]

@@ -164,16 +164,19 @@ class WitnessTrace(Record):
     def certificates(self) -> tuple[str, ...]:
         """Each class's first kernel positions with its final index set
         marked '2'."""
+        return self._certificates(self.final)
+
+    def _certificates(self, final: HornInequality) -> tuple[str, ...]:
         return tuple(
             "".join("2" if c in kept else ch for c, ch in enumerate(rho, start=1))
-            for kept, rho in zip(self.final.indices, self.levels[0].kernel_positions)
+            for kept, rho in zip(final.indices, self.levels[0].kernel_positions)
         )
 
     def to_json_dict(self) -> dict:
         final = self.final
         return {
             "levels": [level.to_json_dict() for level in self.levels],
-            "certificates": list(self.certificates),
+            "certificates": list(self._certificates(final)),
             "final": final.to_json_dict(),
             "slack": evaluate(final, self.levels[0].lams),
         }

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import operator
 import os
 import pathlib
 import random
@@ -17,7 +18,7 @@ from hornkit.exactla import (
     DEFAULT_PRIME,
     Mat,
     Subspace,
-    _bruhat,
+    _bruhat_pivots,
     _echelon,
     check_prime,
     derive_seed,
@@ -106,41 +107,83 @@ def test_mat_rejects_large_prime_products():
 # --- Bruhat normal form ------------------------------------------------------
 
 
-def _bruhat_form(x):
-    """R * x * A from ``_bruhat``, after checking that R and A are
-    upper-triangular and invertible and that the product is a scaled
-    permutation matrix with column j nonzero in row perm[j] alone."""
+def _identity(m):
+    return [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def _assert_upper_triangular(tri):
+    m = tri.nrows
+    assert all(tri.data[i][j] == 0 for i in range(m) for j in range(i))
+    assert all(tri.data[i][i] for i in range(m))
+
+
+def _column_form(x):
+    """(perm, A) from ``_bruhat_pivots`` on x's columns, each read
+    bottom-up and carrying the identity, after checking that A is
+    upper-triangular and invertible, that column a of x * A is last
+    nonzero in row perm[a], and that clearing each such column above that
+    row, which takes an upper-triangular R, leaves R * x * A a scaled
+    permutation matrix with column a nonzero in row perm[a] alone."""
     m, p = x.nrows, x.p
-    perm, left, right = _bruhat(x)
-    for tri in (left, right):
-        assert (tri.nrows, tri.ncols, tri.p) == (m, m, p)
-        assert all(tri.data[i][j] == 0 for i in range(m) for j in range(i))
-        assert all(tri.data[i][i] for i in range(m))
+    columns = [col[::-1] for col in zip(*x.data)]
+    perm, cols = [None] * m, [None] * m
+    for c, a, carried in _bruhat_pivots(columns, _identity(m), p):
+        perm[a], cols[a] = m - 1 - c, carried
     assert sorted(perm) == list(range(m))
-    form = left.mul(x).mul(right)
-    for j in range(m):
-        assert [i for i in range(m) if form.data[i][j]] == [perm[j]]
-    return perm, form
+    right = Mat(tuple(zip(*cols)), p)
+    _assert_upper_triangular(right)
+    form = [list(row) for row in x.mul(right).data]
+    for a in range(m):
+        assert max(i for i in range(m) if form[i][a]) == perm[a]
+    for i in reversed(range(m)):  # row i is now nonzero in column a alone
+        a = perm.index(i)
+        inv = pow(form[i][a], -1, p)
+        for h in range(i):
+            f = form[h][a] * inv
+            form[h] = [(u - f * v) % p for u, v in zip(form[h], form[i])]
+    for a in range(m):
+        assert [i for i in range(m) if form[i][a]] == [perm[a]]
+    return tuple(perm), right
+
+
+def _row_form(x):
+    """(perm, R) from ``_bruhat_pivots`` on x's rows, bottom row first,
+    each carrying its row of the identity, after checking that R is
+    upper-triangular and invertible and that row perm[c] of R * x is
+    first nonzero in column c."""
+    m, p = x.nrows, x.p
+    perm, rows = [None] * m, [None] * m
+    for c, i, carried in _bruhat_pivots(x.data[::-1], _identity(m)[::-1], p):
+        perm[c], rows[m - 1 - i] = m - 1 - i, carried
+    left = Mat(tuple(map(tuple, rows)), p)
+    _assert_upper_triangular(left)
+    form = left.mul(x).data
+    for c, b in enumerate(perm):
+        assert [j for j in range(m) if form[b][j]][0] == c
+    return tuple(perm), left
 
 
 @pytest.mark.parametrize("m", range(5))
 def test_bruhat_fixes_every_permutation_matrix(m):
     for perm in itertools.permutations(range(m)):
         x = Mat(tuple(tuple(int(perm[j] == i) for j in range(m)) for i in range(m)), P)
-        assert _bruhat_form(x) == (perm, x)
+        assert _column_form(x) == _row_form(x) == (perm, Mat.identity(m, P))
 
 
 def test_bruhat_empty_and_scalar():
-    assert _bruhat(Mat((), P)) == ((), Mat((), P), Mat((), P))
-    perm, form = _bruhat_form(Mat(((5,),), P))
-    assert perm == (0,) and form == Mat(((5,),), P)
+    assert _bruhat_pivots([], [], P) == []
+    inv = pow(5, -1, P)
+    assert _bruhat_pivots([[5]], [[1, 2]], P) == [(0, 0, [inv, 2 * inv % P])]
+    assert _column_form(Mat(((5,),), P)) == ((0,), Mat(((inv,),), P))
 
 
 def test_bruhat_refuses_singular_and_non_square():
     with pytest.raises(ValueError, match="singular"):
-        _bruhat(Mat(((1, 2), (2, 4)), P))
+        _bruhat_pivots([[1, 2], [2, 4]], [[], []], P)
+    with pytest.raises(ValueError, match="singular"):
+        _bruhat_pivots([[0, 0], [0, 1]], _identity(2), P)
     with pytest.raises(ValueError, match="non-square"):
-        _bruhat(Mat(((1, 2),), P))
+        _bruhat_pivots([[1, 2]], [[]], P)
 
 
 @given(
@@ -150,7 +193,36 @@ def test_bruhat_refuses_singular_and_non_square():
 )
 @settings(max_examples=300, deadline=None)
 def test_bruhat_of_random_invertible_matrices(m, p, rng):
-    _bruhat_form(FlagModel.random(m, rng, p).matrix)
+    """Both orientations read the one permutation of the Bruhat cell."""
+    x = FlagModel.random(m, rng, p).matrix
+    assert _column_form(x)[0] == _row_form(x)[0]
+
+
+@given(
+    st.integers(0, 7),
+    st.integers(0, 3),
+    st.sampled_from((2, 3, 97)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_bruhat_pivots_read_each_input_row(m, width, p, rng):
+    """Each pivot's input row is the row whose prefix of the input first
+    reaches its pivot column, the pivot is a combination of that row and
+    the rows before it, and the carried entries are the same combination
+    of the carried rows."""
+    rows = [list(row) for row in FlagModel.random(m, rng, p).matrix.data]
+    carried = [[rng.randrange(p) for _ in range(width)] for _ in range(m)]
+    pivots = _bruhat_pivots(rows, carried, p)
+    for i in range(m):
+        reached = set(rref(rows[: i + 1], m, p)[1]) - set(rref(rows[:i], m, p)[1])
+        assert {c for c, row, _ in pivots if row == i} == reached
+    combos = _bruhat_pivots(rows, _identity(m), p)
+    for (c, i, extra), (c2, i2, lam) in zip(pivots, combos):
+        assert (c2, i2) == (c, i)
+        assert lam[i] and not any(lam[i + 1:])
+        pivot = [sum(map(operator.mul, lam, column)) % p for column in zip(*rows)]
+        assert pivot[: c + 1] == [0] * c + [1]
+        assert extra == [sum(map(operator.mul, lam, column)) % p for column in zip(*carried)]
 
 
 # --- the elimination core against Gauss-Jordan -------------------------------
